@@ -1,6 +1,5 @@
-//! Criterion bench: dense tableau vs sparse revised simplex on
-//! identical Appendix A.4 LP relaxations, plus the compact windowed
-//! model at sizes only the sparse engine can represent.
+//! Criterion bench: the sparse revised simplex on the compact windowed
+//! Appendix A.4 model.
 //!
 //! ```text
 //! cargo bench -p cawo_bench --bench lp_engine
@@ -8,33 +7,16 @@
 //!
 //! (The recorded JSON artifact comes from the `bench_lp` binary —
 //! `cargo run --release -p cawo_bench --bin bench_lp` — which also
-//! asserts engine parity and measures the 200-task headline.)
+//! measures the 200-task headline and the threads ladder.)
 
 #![allow(missing_docs)] // criterion_group! generates undocumented fns
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use cawo_bench::fixtures::lp_chain_fixture;
-use cawo_exact::milp::lp_relaxation;
-use cawo_exact::{solve_lp, sparse_from_lp_problem, IlpModel, SparseA4Model};
+use cawo_exact::SparseA4Model;
 use cawo_platform::Time;
 
 fn bench_lp_engines(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lp_relaxation");
-    group.sample_size(3); // dense solves grow fast; keep the run short
-    for &n in &[2usize, 3, 4] {
-        let (inst, profile) = lp_chain_fixture(n, 4, 2, &[2, 9]);
-        let model = IlpModel::build(&inst, &profile);
-        let (dense_lp, _) = lp_relaxation(&model);
-        let sparse_lp = sparse_from_lp_problem(&dense_lp);
-        group.bench_with_input(BenchmarkId::new("dense", n), &dense_lp, |b, lp| {
-            b.iter(|| solve_lp(lp))
-        });
-        group.bench_with_input(BenchmarkId::new("sparse", n), &sparse_lp, |b, lp| {
-            b.iter(|| cawo_lp::solve(lp, &cawo_lp::SimplexOptions::default()))
-        });
-    }
-    group.finish();
-
     let mut group = c.benchmark_group("compact_model");
     group.sample_size(3);
     for &n in &[25usize, 50] {

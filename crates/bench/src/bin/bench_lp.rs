@@ -1,49 +1,45 @@
-//! Measures the LP engines — dense tableau vs sparse revised simplex —
-//! on Appendix A.4 relaxations at growing task counts, and emits a
-//! machine-readable `BENCH_lp.json` (written to the current directory,
-//! mirrored on stdout).
+//! Measures the sparse revised-simplex LP engine on compact Appendix
+//! A.4 models and emits a machine-readable `BENCH_lp.json` (written to
+//! the current directory, mirrored on stdout).
 //!
 //! ```text
 //! cargo run --release -p cawo_bench --bin bench_lp
 //! ```
 //!
-//! Five sections:
+//! Four sections:
 //!
-//! * **parity ladder** — chain instances small enough for the dense
-//!   tableau: both engines solve the *identical* `lp_relaxation` model
-//!   (via `sparse_from_lp_problem`) and must agree on the objective;
-//!   the wall-clock ratio is the dense-vs-sparse gap.
 //! * **sparse-only ladder** — the compact windowed model
 //!   (`SparseA4Model`) at 25–1000 task chains. Every row records the
-//!   iteration count and the pricing rule that produced it; rows that
-//!   hit the wall-clock cap report the Lagrangian dual bound the
-//!   engine proved by then instead of a stale primal objective.
+//!   iteration count; rows that hit the wall-clock cap report the
+//!   Lagrangian dual bound the engine proved by then instead of a stale
+//!   primal objective.
 //! * **headline** — the paper-grid 200-task instance (Fig. 7 regime):
 //!   `--solver lp` and `--solver milp` through the `Solver` registry
 //!   under a wall-clock budget, recording status, bound, cost, and the
 //!   root-cut statistics. The seed engine (Dantzig primal only, no
 //!   cuts) left this row `feasible` at the 60 s budget; the
 //!   Devex/dual/cut engine is expected to close it to `optimal`.
-//! * **threads ladder** — the 100-task compact model solved on
-//!   dedicated `cawo_par` pools of 1/2/4/8 workers; objectives are
-//!   asserted bit-identical across the ladder (the deterministic-
-//!   reduction contract). Each row records `par_gate_cols`, the
-//!   work-based column threshold the engine derived for enabling the
-//!   parallel pricing sweep — the old fixed 4096-column gate is gone.
+//! * **threads ladder** — the headline's compact model (over 2 M
+//!   nonzeros plus rows, past the parallel work gate) solved cold on
+//!   dedicated `cawo_par` pools of 1/2/4/8 workers, min of 3 interleaved
+//!   runs per rung; iterations and objectives are asserted bit-identical across
+//!   the ladder (the deterministic-reduction contract). Each row records
+//!   `par_gate_cols`, the work-based column threshold from which the
+//!   engine splits a pricing block across the pool.
 //! * **warm resolve** — the dual-simplex acceptance check: solve the
 //!   100-task model cold, clamp one active start column to zero (a
 //!   branch step), then re-solve warm from the incumbent basis versus
 //!   cold from scratch. `warm_resolve_iter_ratio` is warm iterations
 //!   over cold iterations; the dual repair is expected to need ≤ 10%.
+//!
+//! Engine parity against the dense tableau is asserted by the
+//! `lp_parity` test suite, not here.
 
 use std::time::{Duration, Instant};
 
 use cawo_bench::fixtures::lp_chain_fixture;
 use cawo_core::Instance;
-use cawo_exact::milp::lp_relaxation;
-use cawo_exact::{
-    solve_lp, sparse_from_lp_problem, Budget, IlpModel, LpOutcome, SolverKind, SparseA4Model,
-};
+use cawo_exact::{Budget, SolverKind, SparseA4Model};
 use cawo_graph::generator::{instantiate, Family, PaperInstance};
 use cawo_heft::heft_schedule;
 use cawo_lp::{LpStatus, SimplexOptions, SimplexSolver};
@@ -64,9 +60,6 @@ struct Row {
     /// Simplex iterations (for solver rows: LP iterations across the
     /// whole run, cuts and branching included).
     iters: u64,
-    /// Pricing rule the engine reported ("devex" / "dantzig"; "-" for
-    /// the dense tableau).
-    pricing: String,
     /// Root cuts appended (solver rows only).
     cuts: u32,
     /// Best proven lower bound when the row did not reach Optimal.
@@ -88,7 +81,6 @@ impl Row {
             status: String::new(),
             threads: 1,
             iters: 0,
-            pricing: "-".into(),
             cuts: 0,
             dual_bound: None,
             par_gate_cols: 0,
@@ -99,64 +91,10 @@ impl Row {
 /// Pool sizes of the threads ladder.
 const THREAD_LADDER: [usize; 4] = [1, 2, 4, 8];
 
-fn median<F: FnMut() -> (f64, String)>(samples: usize, mut f: F) -> (f64, f64, String) {
-    let mut times = Vec::with_capacity(samples);
-    let mut out = (0.0, String::new());
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        out = f();
-        times.push(t0.elapsed().as_secs_f64());
-    }
-    times.sort_by(f64::total_cmp);
-    (times[times.len() / 2], out.0, out.1)
-}
-
 fn main() {
     let mut rows: Vec<Row> = Vec::new();
 
-    // --- Parity ladder: dense vs sparse on identical models. ---
-    for &n in &[2usize, 3, 4, 5] {
-        let (inst, profile) = lp_chain_fixture(n, 4, 6, &[0, 4]);
-        let model = IlpModel::build(&inst, &profile);
-        let (dense_lp, _) = lp_relaxation(&model);
-        let sparse_lp = sparse_from_lp_problem(&dense_lp);
-        let (secs_d, obj_d, status_d) = median(3, || match solve_lp(&dense_lp) {
-            LpOutcome::Optimal { objective, .. } => (objective, "optimal".into()),
-            other => (f64::NAN, format!("{other:?}")),
-        });
-        rows.push(Row {
-            cols: dense_lp.num_vars,
-            rows: dense_lp.rows.len(),
-            seconds: secs_d,
-            objective: obj_d,
-            status: status_d,
-            ..Row::new("parity", n, "dense")
-        });
-        let mut last_iters = 0u64;
-        let mut last_pricing = "-";
-        let (secs_s, obj_s, status_s) = median(3, || {
-            let sol = cawo_lp::solve(&sparse_lp, &cawo_lp::SimplexOptions::default());
-            last_iters = sol.iterations;
-            last_pricing = sol.stats.pricing;
-            (sol.objective, format!("{:?}", sol.status).to_lowercase())
-        });
-        rows.push(Row {
-            cols: sparse_lp.num_cols(),
-            rows: sparse_lp.num_rows(),
-            seconds: secs_s,
-            objective: obj_s,
-            status: status_s,
-            iters: last_iters,
-            pricing: last_pricing.into(),
-            ..Row::new("parity", n, "sparse")
-        });
-        assert!(
-            (obj_d - obj_s).abs() <= 1e-6 * (1.0 + obj_d.abs()),
-            "engines disagree at {n} tasks: dense {obj_d} vs sparse {obj_s}"
-        );
-    }
-
-    // --- Sparse-only ladder: the compact model beyond the dense cap.
+    // --- Sparse-only ladder: the compact model at growing sizes.
     // Cold starts (no incumbent crash basis here) pay the composite
     // phase 1 in full, so each solve carries a wall-clock cap; capped
     // rows surface the proven Lagrangian dual bound, not a stale
@@ -167,9 +105,9 @@ fn main() {
         // The 500/1000-task rungs exist to prove a useful dual bound in
         // single-digit seconds, not to grind to optimality.
         let cap = if n >= 500 { 6 } else { 30 };
-        let opts = cawo_lp::SimplexOptions {
+        let opts = SimplexOptions {
             time_limit: Some(Duration::from_secs(cap)),
-            ..cawo_lp::SimplexOptions::default()
+            ..SimplexOptions::default()
         };
         let t0 = Instant::now();
         let sol = cawo_lp::solve(&model.lp, &opts);
@@ -182,7 +120,6 @@ fn main() {
             objective: if optimal { sol.objective } else { f64::NAN },
             status: format!("{:?}", sol.status).to_lowercase(),
             iters: sol.iterations,
-            pricing: sol.stats.pricing.into(),
             dual_bound: if optimal { None } else { sol.dual_bound },
             ..Row::new("sparse_only", n, "sparse")
         });
@@ -229,55 +166,52 @@ fn main() {
             objective: cost,
             status,
             iters: stats.lp_iterations,
-            pricing: stats.pricing.into(),
             cuts: stats.cuts,
             dual_bound: lb,
             ..Row::new("headline", 200, kind.name())
         });
     }
 
-    // --- Threads ladder: parallel partial pricing, bit-identical. ---
+    // --- Threads ladder: parallel pricing on the headline model. ---
     {
-        let n = 100usize;
-        let (inst, profile) = lp_chain_fixture(n, 2 * n as Time, 6, &[0, 4]);
-        let model = SparseA4Model::build(&inst, &profile);
-        let opts = cawo_lp::SimplexOptions {
-            time_limit: Some(Duration::from_secs(120)),
-            ..cawo_lp::SimplexOptions::default()
-        };
-        let mut reference: Option<u64> = None;
-        for &threads in &THREAD_LADDER {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("pool construction cannot fail");
-            let mut last = (0u64, "-", 0usize);
-            let (secs, obj, status) = median(1, || {
-                let sol = pool.install(|| cawo_lp::solve(&model.lp, &opts));
-                last = (sol.iterations, sol.stats.pricing, sol.stats.par_gate_cols);
-                (sol.objective, format!("{:?}", sol.status).to_lowercase())
-            });
-            if status == "optimal" {
-                match reference {
-                    None => reference = Some(obj.to_bits()),
-                    Some(bits) => assert_eq!(
-                        bits,
-                        obj.to_bits(),
-                        "parallel pricing changed the objective at {threads} threads"
-                    ),
-                }
+        let opts = SimplexOptions::default();
+        let pools: Vec<_> = THREAD_LADDER
+            .iter()
+            .map(|&threads| {
+                rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .expect("pool construction cannot fail")
+            })
+            .collect();
+        let mut best = [f64::INFINITY; THREAD_LADDER.len()];
+        let mut sols = Vec::new();
+        // Interleaved rounds, so every rung sees the same host drift.
+        for _ in 0..3 {
+            sols.clear();
+            for (k, pool) in pools.iter().enumerate() {
+                let t0 = Instant::now();
+                sols.push(pool.install(|| cawo_lp::solve(&model.lp, &opts)));
+                best[k] = best[k].min(t0.elapsed().as_secs_f64());
             }
+        }
+        for (k, sol) in sols.iter().enumerate() {
+            assert_eq!(
+                (sol.iterations, sol.objective.to_bits()),
+                (sols[0].iterations, sols[0].objective.to_bits()),
+                "parallel pricing changed the solve at {} threads",
+                THREAD_LADDER[k]
+            );
             rows.push(Row {
                 cols: model.lp.num_cols(),
                 rows: model.lp.num_rows(),
-                seconds: secs,
-                objective: obj,
-                status,
-                threads,
-                iters: last.0,
-                pricing: last.1.into(),
-                par_gate_cols: last.2,
-                ..Row::new("threads", n, "sparse")
+                seconds: best[k],
+                objective: sol.objective,
+                status: format!("{:?}", sol.status).to_lowercase(),
+                threads: THREAD_LADDER[k],
+                iters: sol.iterations,
+                par_gate_cols: sol.stats.par_gate_cols,
+                ..Row::new("threads", 200, "sparse")
             });
         }
     }
@@ -347,7 +281,6 @@ fn main() {
                 objective: sol.objective,
                 status: format!("{:?}", sol.status).to_lowercase(),
                 iters: sol.iterations,
-                pricing: sol.stats.pricing.into(),
                 ..Row::new("warm_resolve", n, engine)
             });
         }
@@ -355,15 +288,6 @@ fn main() {
     };
 
     // --- Emit JSON. ---
-    let speedup_at = |n: usize| -> f64 {
-        let of = |engine: &str| {
-            rows.iter()
-                .find(|r| r.section == "parity" && r.tasks == n && r.engine == engine)
-                .expect("measured")
-                .seconds
-        };
-        of("dense") / of("sparse").max(1e-12)
-    };
     let mut json = format!(
         "{{\n  \"bench\": \"lp_engines\",\n  \"host\": {},\n  \"results\": [\n",
         cawo_obs::host_meta_json()
@@ -372,7 +296,7 @@ fn main() {
         json.push_str(&format!(
             "    {{\"section\": \"{}\", \"tasks\": {}, \"engine\": \"{}\", \"cols\": {}, \
              \"rows\": {}, \"seconds\": {:.3e}, \"objective\": {}, \"status\": \"{}\", \
-             \"threads\": {}, \"iters\": {}, \"pricing\": \"{}\", \"cuts\": {}, \
+             \"threads\": {}, \"iters\": {}, \"cuts\": {}, \
              \"dual_bound\": {}, \"par_gate_cols\": {}}}{}\n",
             r.section,
             r.tasks,
@@ -388,7 +312,6 @@ fn main() {
             r.status,
             r.threads,
             r.iters,
-            r.pricing,
             r.cuts,
             r.dual_bound
                 .map(|b| format!("{b:.6}"))
@@ -398,14 +321,6 @@ fn main() {
         ));
     }
     json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"dense_over_sparse_seconds\": {{{}}},\n",
-        [2usize, 3, 4, 5]
-            .iter()
-            .map(|&n| format!("\"{n}\": {:.1}", speedup_at(n)))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
     let ladder_secs = |threads: usize| -> f64 {
         rows.iter()
             .find(|r| r.section == "threads" && r.threads == threads)
@@ -424,19 +339,18 @@ fn main() {
         "  \"warm_resolve_iter_ratio\": {warm_ratio:.4},\n"
     ));
     json.push_str(
-        "  \"note\": \"parity = identical lp_relaxation models solved by both engines \
-         (objectives asserted equal); sparse_only = the compact windowed SparseA4Model at \
-         sizes the dense tableau cannot represent (capped rows report the proven dual \
-         bound); headline = the paper-grid 200-task atacseq instance (small cluster, S1, \
-         x1.5) through --solver lp / --solver milp under a 60s budget, with root-cut and \
-         iteration statistics (the seed engine reported milp feasible here; the \
-         Devex/dual/cut engine closes it); threads = the 100-task compact model solved \
-         with parallel partial pricing on 1/2/4/8-worker pools, objectives bit-identical \
-         across the ladder, par_gate_cols = the work-derived parallel gate \
-         (pricing_threads_speedup saturates at the host's physical core count — a \
-         single-core machine reports ~1.0); warm_resolve = dual-simplex repair after a \
-         branch-style bound clamp on the 100-task model, warm_resolve_iter_ratio = warm \
-         over cold iterations (acceptance: <= 0.10)\"\n}\n",
+        "  \"note\": \"sparse_only = the compact windowed SparseA4Model on 25-1000-task \
+         chains (capped rows report the proven dual bound); headline = the paper-grid \
+         200-task atacseq instance (small cluster, S1, x1.5) through --solver lp / \
+         --solver milp under a 60s budget, with root-cut and iteration statistics (the \
+         seed engine reported milp feasible here; the Devex/dual/cut engine closes it); \
+         threads = the headline's compact model solved cold with parallel pricing on \
+         1/2/4/8-worker pools, min of 3 interleaved runs, iterations and objectives \
+         bit-identical across the ladder, par_gate_cols = the work-derived parallel gate \
+         (pricing_threads_speedup saturates at the host's core count; larger pools \
+         oversubscribe it); warm_resolve = dual-simplex repair after a branch-style bound \
+         clamp on the 100-task model, warm_resolve_iter_ratio = warm over cold iterations \
+         (acceptance: <= 0.10)\"\n}\n",
     );
     std::fs::write("BENCH_lp.json", &json).expect("write BENCH_lp.json");
     print!("{json}");

@@ -15,13 +15,13 @@
 //! * [`eschedule`] — Lemma 4.2's block-shift transformation as
 //!   executable code (any uniprocessor schedule → an E-schedule of equal
 //!   or lower cost),
-//! * [`simplex`] / [`milp`] — a from-scratch dense two-phase simplex
-//!   (the differential-testing oracle) and the branch-and-bound MILP
-//!   solvers over the Appendix A.4 model: dense for tiny cross-checks,
-//!   sparse (via [`cawo_lp`]) for the paper's 200-task regime,
+//! * [`milp`] — the branch-and-bound MILP solver over the compact A.4
+//!   model on [`cawo_lp`]'s sparse revised simplex, which reaches the
+//!   paper's 200-task regime,
 //! * [`sparse_model`] — the compact windowed A.4 formulation
 //!   (EST/LST-restricted start binaries, aggregated precedence, implied
 //!   brown power) that [`cawo_lp`]'s revised simplex solves at scale,
+//!   and the LP-relaxation bound solver over it,
 //! * [`reduction`] — the 3-Partition gadget of the strong NP-completeness
 //!   proof (§4.2 / Appendix A.3), used as an adversarial test generator.
 //!
@@ -34,6 +34,12 @@
 //! re-evaluating whole schedules with `carbon_cost`, which is reserved
 //! for tests and debug oracles.
 //!
+//! The literal A.4 model solved by a dense two-phase tableau and a dense
+//! branch-and-bound is not part of the library: like the paper's Gurobi
+//! runs it only fits toy instances, so it lives in `tests/support` as
+//! the oracle of the differential suites (`lp_parity`, `milp_cross`,
+//! `cuts`, `dense_oracle`).
+//!
 //! [`CostEngine`]: cawo_core::CostEngine
 
 pub mod bnb;
@@ -43,7 +49,6 @@ pub mod eschedule;
 pub mod ilp;
 pub mod milp;
 pub mod reduction;
-pub mod simplex;
 pub mod solver;
 pub mod sparse_model;
 
@@ -52,10 +57,9 @@ pub use cuts::{root_cut_loop, CutStats};
 pub use dp::{dp_polynomial, dp_pseudo_polynomial, DpResult, DpSolver};
 pub use eschedule::{is_e_schedule, to_e_schedule, to_e_schedule_on, EscheduleSolver};
 pub use ilp::{check_schedule_against_ilp, IlpModel, IlpSolver};
-pub use milp::{solve_ilp_model, MilpConfig, MilpDenseSolver, MilpOutcome, MilpSolver};
+pub use milp::MilpSolver;
 pub use reduction::three_partition_instance;
-pub use simplex::{solve_lp, LpCmp, LpDenseSolver, LpOutcome, LpProblem};
 pub use solver::{
     Budget, SolveError, SolveResult, SolveStats, SolveStatus, Solver, SolverKind, WarmStart,
 };
-pub use sparse_model::{sparse_from_lp_problem, LpSolver, SparseA4Model};
+pub use sparse_model::{LpSolver, SparseA4Model};

@@ -1,378 +1,34 @@
-//! MILP solvers for the Appendix A.4 model.
+//! The MILP solver for the Appendix A.4 model ([`MilpSolver`], registry
+//! name `milp`).
 //!
-//! Two engines live here:
+//! A branch-and-bound on the compact windowed model of
+//! [`crate::sparse_model::SparseA4Model`], solved by `cawo_lp`'s
+//! revised simplex. Nodes *warm-start* from the incumbent basis
+//! (branching only changes column bounds, never the matrix), and
+//! branching is an E-schedule-flavoured *window split*: pick the task
+//! whose fractional start mass is most dispersed, split its window at
+//! the fractional mean. This is what lifts `--solver milp` to the
+//! paper's 200-task Fig. 7 regime.
 //!
-//! * the historical **dense** branch-and-bound over
-//!   [`crate::simplex::solve_lp`] ([`solve_milp`], [`MilpDenseSolver`])
-//!   — most-fractional variable dichotomy on the full-tableau simplex.
-//!   Quadratic tableau memory caps it at toy sizes, which is exactly
-//!   why it survives: it is the differential-testing oracle for
-//!   everything below.
-//! * the **sparse** branch-and-bound ([`MilpSolver`], registry name
-//!   `milp`) on the compact windowed model of
-//!   [`crate::sparse_model::SparseA4Model`], solved by `cawo_lp`'s
-//!   revised simplex. Nodes *warm-start* from the incumbent basis
-//!   (branching only changes column bounds, never the matrix), and
-//!   branching is an E-schedule-flavoured *window split*: pick the task
-//!   whose fractional start mass is most dispersed, split its window at
-//!   the fractional mean. This is what lifts `--solver milp` to the
-//!   paper's 200-task Fig. 7 regime.
-//!
-//! Degenerate models no longer panic: an unbounded relaxation surfaces
-//! as [`MilpOutcome::Unbounded`] / [`crate::solver::SolveError`] so an
+//! The literal dense model and a dense branch-and-bound over it live in
+//! the crate's test support as the differential-testing oracle
+//! (`tests/support`, exercised by `milp_cross`, `cuts` and
+//! `lp_parity`). Degenerate models do not panic: an unbounded
+//! relaxation surfaces as a [`crate::solver::SolveError`] so an
 //! experiment-grid run records a status instead of crashing.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use cawo_core::Instance;
 use cawo_lp::{LpStatus, SimplexOptions, SimplexSolver};
 use cawo_platform::{PowerProfile, Time};
 
 use crate::cuts::root_cut_loop;
-use crate::ilp::{check_schedule_against_ilp, Cmp, Domain, IlpModel};
-use crate::simplex::{solve_lp, LpCmp, LpOutcome, LpProblem};
 use crate::solver::{
-    heuristic_incumbent, require_feasible, warm_incumbent, Budget, SolveError, SolveResult,
-    SolveStats, SolveStatus, Solver, WarmStart,
+    require_feasible, warm_incumbent, Budget, SolveError, SolveResult, SolveStats, SolveStatus,
+    Solver, WarmStart,
 };
 use crate::sparse_model::{ceil_bound, engine_cost, SparseA4Model};
-
-/// Configuration of the dense MILP search.
-#[derive(Debug, Clone, Copy)]
-pub struct MilpConfig {
-    /// Maximum explored branch-and-bound nodes.
-    pub node_limit: u64,
-    /// Wall-clock cap on the whole search (checked per node).
-    pub time_limit: Option<Duration>,
-    /// Integrality tolerance.
-    pub int_tol: f64,
-}
-
-impl Default for MilpConfig {
-    fn default() -> Self {
-        MilpConfig {
-            node_limit: 200_000,
-            time_limit: None,
-            int_tol: 1e-6,
-        }
-    }
-}
-
-/// MILP outcome.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MilpOutcome {
-    /// Proven optimal integer solution.
-    Optimal {
-        /// Objective value.
-        objective: f64,
-        /// Integer assignment.
-        solution: Vec<f64>,
-    },
-    /// Best found within the node limit (not proven optimal).
-    Feasible {
-        /// Objective value of the incumbent.
-        objective: f64,
-        /// Incumbent assignment.
-        solution: Vec<f64>,
-    },
-    /// No integer-feasible point.
-    Infeasible,
-    /// Node limit hit without any incumbent.
-    Unknown,
-    /// Some relaxation was unbounded — the model itself is degenerate
-    /// (a bounded MILP's relaxations are bounded). Reported instead of
-    /// panicking so a grid run records an honest status.
-    Unbounded,
-}
-
-/// Solves a MILP: the base problem plus a set of integer variables.
-pub fn solve_milp(base: &LpProblem, integer_vars: &[usize], config: MilpConfig) -> MilpOutcome {
-    solve_milp_counted(base, integer_vars, config).0
-}
-
-/// [`solve_milp`] that also reports the number of explored
-/// branch-and-bound nodes.
-pub fn solve_milp_counted(
-    base: &LpProblem,
-    integer_vars: &[usize],
-    config: MilpConfig,
-) -> (MilpOutcome, u64) {
-    struct State<'a> {
-        base: &'a LpProblem,
-        integer_vars: &'a [usize],
-        config: MilpConfig,
-        deadline: Option<Instant>,
-        nodes: u64,
-        best: Option<(f64, Vec<f64>)>,
-        exhausted: bool,
-        unbounded: bool,
-    }
-
-    impl State<'_> {
-        /// `bounds`: extra (var, lo, hi) rows accumulated by branching.
-        fn dfs(&mut self, bounds: &mut Vec<(usize, f64, f64)>) {
-            if self.unbounded {
-                return;
-            }
-            self.nodes += 1;
-            if self.nodes > self.config.node_limit
-                // cawo-lint: allow(wall-clock) — enforcing the opt-in time budget.
-                || self.deadline.is_some_and(|d| Instant::now() >= d)
-            {
-                self.exhausted = false;
-                return;
-            }
-            let mut lp = self.base.clone();
-            for &(v, lo, hi) in bounds.iter() {
-                if lo > 0.0 {
-                    lp.add_row(vec![(v, 1.0)], LpCmp::Ge, lo);
-                }
-                if hi.is_finite() {
-                    lp.add_row(vec![(v, 1.0)], LpCmp::Le, hi);
-                }
-            }
-            let (objective, solution) = match solve_lp(&lp) {
-                LpOutcome::Infeasible => return,
-                LpOutcome::Unbounded => {
-                    // An unbounded relaxation of a bounded MILP can only
-                    // happen with unbounded integer vars; report the
-                    // degenerate model instead of crashing the run.
-                    self.unbounded = true;
-                    self.exhausted = false;
-                    return;
-                }
-                LpOutcome::Optimal {
-                    objective,
-                    solution,
-                } => (objective, solution),
-            };
-            // Prune on the incumbent (minimisation; integer objectives
-            // would allow a +1 cut, but objectives here can be fractional
-            // mid-branch, so prune conservatively).
-            if let Some((best, _)) = &self.best {
-                if objective >= *best - 1e-9 {
-                    return;
-                }
-            }
-            // Most fractional integer variable.
-            let mut branch: Option<(usize, f64)> = None;
-            let mut best_frac = self.config.int_tol;
-            for &v in self.integer_vars {
-                let x = solution[v];
-                let frac = (x - x.round()).abs();
-                if frac > best_frac {
-                    best_frac = frac;
-                    branch = Some((v, x));
-                }
-            }
-            match branch {
-                None => {
-                    // Integer feasible.
-                    let rounded: Vec<f64> = solution
-                        .iter()
-                        .enumerate()
-                        .map(|(v, &x)| {
-                            if self.integer_vars.contains(&v) {
-                                x.round()
-                            } else {
-                                x
-                            }
-                        })
-                        .collect();
-                    if self
-                        .best
-                        .as_ref()
-                        .is_none_or(|(b, _)| objective < *b - 1e-9)
-                    {
-                        self.best = Some((objective, rounded));
-                    }
-                }
-                Some((v, x)) => {
-                    // Branch down first (schedules favour small values).
-                    bounds.push((v, 0.0, x.floor()));
-                    self.dfs(bounds);
-                    bounds.pop();
-                    bounds.push((v, x.ceil(), f64::INFINITY));
-                    self.dfs(bounds);
-                    bounds.pop();
-                }
-            }
-        }
-    }
-
-    let mut state = State {
-        base,
-        integer_vars,
-        config,
-        // cawo-lint: allow(wall-clock) — opt-in time budget: `time_limit` is
-        // documented as non-reproducible; the default (None) never reads the clock.
-        deadline: config.time_limit.map(|d| Instant::now() + d),
-        nodes: 0,
-        best: None,
-        exhausted: true,
-        unbounded: false,
-    };
-    state.dfs(&mut Vec::new());
-    let nodes = state.nodes;
-    let outcome = match (state.unbounded, state.best, state.exhausted) {
-        (true, _, _) => MilpOutcome::Unbounded,
-        (false, Some((objective, solution)), true) => MilpOutcome::Optimal {
-            objective,
-            solution,
-        },
-        (false, Some((objective, solution)), false) => MilpOutcome::Feasible {
-            objective,
-            solution,
-        },
-        (false, None, true) => MilpOutcome::Infeasible,
-        (false, None, false) => MilpOutcome::Unknown,
-    };
-    (outcome, nodes)
-}
-
-/// Converts an [`IlpModel`] into an [`LpProblem`] plus its integer-
-/// variable list (binaries get `≤ 1` rows; all variables are `≥ 0`).
-pub fn lp_relaxation(model: &IlpModel) -> (LpProblem, Vec<usize>) {
-    let mut lp = LpProblem::new(model.var_count());
-    for &(v, c) in &model.objective {
-        lp.objective[v as usize] += c as f64;
-    }
-    for con in &model.constraints {
-        let terms: Vec<(usize, f64)> = con
-            .terms
-            .iter()
-            .map(|&(v, a)| (v as usize, a as f64))
-            .collect();
-        let cmp = match con.cmp {
-            Cmp::Le => LpCmp::Le,
-            Cmp::Eq => LpCmp::Eq,
-            Cmp::Ge => LpCmp::Ge,
-        };
-        lp.add_row(terms, cmp, con.rhs as f64);
-    }
-    let mut integer_vars = Vec::new();
-    for (v, d) in model.domains.iter().enumerate() {
-        match d {
-            Domain::Binary => {
-                lp.add_upper_bound(v, 1.0);
-                integer_vars.push(v);
-            }
-            Domain::NonNegInt => integer_vars.push(v),
-        }
-    }
-    (lp, integer_vars)
-}
-
-/// Solves the full Appendix A.4 model with the dense engine. The
-/// objective is integral, so the result is rounded to the nearest
-/// integer.
-pub fn solve_ilp_model(model: &IlpModel, config: MilpConfig) -> MilpOutcome {
-    let (lp, ints) = lp_relaxation(model);
-    solve_milp(&lp, &ints, config)
-}
-
-/// The literal Appendix A.4 model solved by the dense tableau engine —
-/// kept as the registry's differential-testing oracle (`milp-dense`).
-/// Like the paper's Gurobi runs it only scales to tiny instances, so
-/// oversized models are declined as
-/// [`SolveError::Unsupported`] rather than ground through.
-#[derive(Debug, Clone, Copy)]
-pub struct MilpDenseSolver {
-    /// Refuse models with more variables than this. The constraint
-    /// count grows faster than the variable count (eq. (11) alone is
-    /// `Σ_v ω(v)·(T − ω(v))` rows) and the dense tableau is quadratic
-    /// in rows × columns *per B&B node*, so the default is deliberately
-    /// conservative.
-    pub max_vars: usize,
-}
-
-impl Default for MilpDenseSolver {
-    fn default() -> Self {
-        MilpDenseSolver { max_vars: 300 }
-    }
-}
-
-impl Solver for MilpDenseSolver {
-    fn name(&self) -> &'static str {
-        "milp-dense"
-    }
-
-    fn solve(
-        &self,
-        inst: &Instance,
-        profile: &PowerProfile,
-        budget: Budget,
-    ) -> Result<SolveResult, SolveError> {
-        require_feasible(inst, profile)?;
-        let n = inst.node_count();
-        let t = profile.deadline() as usize;
-        let var_count = IlpModel::var_count_for(n, t);
-        if var_count > self.max_vars {
-            return Err(SolveError::Unsupported(format!(
-                "time-indexed model needs {var_count} variables (cap {})",
-                self.max_vars
-            )));
-        }
-        let model = IlpModel::build(inst, profile);
-        let config = MilpConfig {
-            node_limit: budget.node_limit,
-            time_limit: budget.time_limit,
-            ..MilpConfig::default()
-        };
-        let (lp, ints) = lp_relaxation(&model);
-        let (outcome, nodes) = solve_milp_counted(&lp, &ints, config);
-        let (solution, proved) = match outcome {
-            MilpOutcome::Optimal { solution, .. } => (solution, true),
-            MilpOutcome::Feasible { solution, .. } => (solution, false),
-            MilpOutcome::Unknown => {
-                // Budget ran out before any integer point was found;
-                // fall back to the heuristic incumbent.
-                let (schedule, cost) = heuristic_incumbent(inst, profile);
-                return Ok(SolveResult {
-                    schedule,
-                    cost,
-                    status: SolveStatus::TimedOut,
-                    nodes,
-                    lower_bound: None,
-                    stats: SolveStats::default(),
-                    basis: None,
-                });
-            }
-            MilpOutcome::Infeasible => {
-                // Unreachable for deadline-feasible instances; surface
-                // it as an error instead of inventing a schedule.
-                return Err(SolveError::Infeasible(
-                    "A.4 model has no integer point — model/instance mismatch".into(),
-                ));
-            }
-            MilpOutcome::Unbounded => {
-                return Err(SolveError::Unsupported(
-                    "MILP relaxation unbounded — model must be bounded".into(),
-                ));
-            }
-        };
-        let schedule = model.extract_schedule(&solution).ok_or_else(|| {
-            SolveError::Infeasible("MILP solution encodes no complete schedule".into())
-        })?;
-        // Independent certification: the checker validates the schedule
-        // and re-derives the objective from the canonical assignment.
-        let cost =
-            check_schedule_against_ilp(inst, profile, &schedule).map_err(SolveError::Infeasible)?;
-        Ok(SolveResult {
-            lower_bound: proved.then_some(cost),
-            schedule,
-            cost,
-            status: if proved {
-                SolveStatus::Optimal
-            } else {
-                SolveStatus::Feasible
-            },
-            nodes,
-            stats: SolveStats::default(),
-            basis: None,
-        })
-    }
-}
 
 /// The sparse MILP solver (registry name `milp`): the compact
 /// [`SparseA4Model`] solved by branch-and-bound over `cawo_lp`'s
@@ -609,7 +265,6 @@ impl MilpSolver {
         let root_basis = root.basis.clone();
         stats.lp_iterations += root.iterations;
         stats.dual_iterations += root.stats.dual_iters;
-        stats.pricing = root.stats.pricing;
         match root.status {
             LpStatus::Infeasible => {
                 return Err(SolveError::Infeasible(
@@ -841,164 +496,5 @@ impl MilpSolver {
             stats,
             basis: Some(root_basis),
         })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pure_lp_passes_through() {
-        // No integer vars: MILP = LP.
-        let mut p = LpProblem::new(1);
-        p.objective = vec![-1.0];
-        p.add_upper_bound(0, 1.5);
-        match solve_milp(&p, &[], MilpConfig::default()) {
-            MilpOutcome::Optimal {
-                objective,
-                solution,
-            } => {
-                assert!((objective + 1.5).abs() < 1e-6);
-                assert!((solution[0] - 1.5).abs() < 1e-6);
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn branching_rounds_down() {
-        // min -x, x <= 1.5, x integer ⇒ x = 1.
-        let mut p = LpProblem::new(1);
-        p.objective = vec![-1.0];
-        p.add_upper_bound(0, 1.5);
-        match solve_milp(&p, &[0], MilpConfig::default()) {
-            MilpOutcome::Optimal {
-                objective,
-                solution,
-            } => {
-                assert!((objective + 1.0).abs() < 1e-6);
-                assert!((solution[0] - 1.0).abs() < 1e-6);
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn binary_knapsack() {
-        // max 5a + 4b + 3c s.t. 2a + 3b + c <= 3, binaries.
-        // Optimal: a = 1, c = 1 ⇒ 8.
-        let mut p = LpProblem::new(3);
-        p.objective = vec![-5.0, -4.0, -3.0];
-        p.add_row(vec![(0, 2.0), (1, 3.0), (2, 1.0)], LpCmp::Le, 3.0);
-        for v in 0..3 {
-            p.add_upper_bound(v, 1.0);
-        }
-        match solve_milp(&p, &[0, 1, 2], MilpConfig::default()) {
-            MilpOutcome::Optimal {
-                objective,
-                solution,
-            } => {
-                assert!((objective + 8.0).abs() < 1e-6);
-                assert_eq!(
-                    solution
-                        .iter()
-                        .map(|&x| x.round() as i64)
-                        .collect::<Vec<_>>(),
-                    vec![1, 0, 1]
-                );
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn integer_infeasibility() {
-        // 0.4 <= x <= 0.6, x integer: LP feasible, MILP infeasible.
-        let mut p = LpProblem::new(1);
-        p.add_row(vec![(0, 1.0)], LpCmp::Ge, 0.4);
-        p.add_upper_bound(0, 0.6);
-        assert_eq!(
-            solve_milp(&p, &[0], MilpConfig::default()),
-            MilpOutcome::Infeasible
-        );
-    }
-
-    #[test]
-    fn node_limit_degrades_gracefully() {
-        let mut p = LpProblem::new(2);
-        p.objective = vec![-1.0, -1.0];
-        p.add_row(vec![(0, 2.0), (1, 2.0)], LpCmp::Le, 3.0);
-        for v in 0..2 {
-            p.add_upper_bound(v, 1.0);
-        }
-        let out = solve_milp(
-            &p,
-            &[0, 1],
-            MilpConfig {
-                node_limit: 1,
-                ..MilpConfig::default()
-            },
-        );
-        assert!(matches!(
-            out,
-            MilpOutcome::Unknown | MilpOutcome::Feasible { .. }
-        ));
-    }
-
-    #[test]
-    fn general_integers_supported() {
-        // min -x s.t. 3x <= 10, x non-negative integer ⇒ x = 3.
-        let mut p = LpProblem::new(1);
-        p.objective = vec![-1.0];
-        p.add_row(vec![(0, 3.0)], LpCmp::Le, 10.0);
-        match solve_milp(&p, &[0], MilpConfig::default()) {
-            MilpOutcome::Optimal { solution, .. } => {
-                assert!((solution[0] - 3.0).abs() < 1e-6);
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn unbounded_relaxation_is_reported_not_panicked() {
-        // min -x, x integer, no rows at all: relaxation unbounded.
-        let mut p = LpProblem::new(1);
-        p.objective = vec![-1.0];
-        assert_eq!(
-            solve_milp(&p, &[0], MilpConfig::default()),
-            MilpOutcome::Unbounded
-        );
-    }
-
-    #[test]
-    fn sparse_milp_matches_dense_on_chains() {
-        use cawo_core::enhanced::UnitInfo;
-        use cawo_graph::dag::DagBuilder;
-        let exec: Vec<Time> = vec![2, 3];
-        let mut b = DagBuilder::new(2);
-        b.add_edge(0, 1);
-        let inst = Instance::from_raw(
-            b.build().unwrap(),
-            exec,
-            vec![0, 0],
-            vec![UnitInfo {
-                p_idle: 1,
-                p_work: 4,
-                is_link: false,
-            }],
-            0,
-        );
-        let profile = PowerProfile::from_parts(vec![0, 4, 10], vec![3, 6]);
-        let sparse = MilpSolver::default()
-            .solve(&inst, &profile, Budget::default())
-            .unwrap();
-        let dense = MilpDenseSolver::default()
-            .solve(&inst, &profile, Budget::default())
-            .unwrap();
-        assert_eq!(sparse.status, SolveStatus::Optimal);
-        assert_eq!(dense.status, SolveStatus::Optimal);
-        assert_eq!(sparse.cost, dense.cost);
-        assert_eq!(sparse.lower_bound, Some(sparse.cost));
     }
 }

@@ -1,10 +1,9 @@
 //! The unified [`Solver`] interface over every exact method.
 //!
-//! Before this module existed, each exact algorithm had its own entry
-//! point with its own shape — `dp_polynomial` returning a `DpResult`,
-//! `solve_exact` a `BnbResult`, `solve_ilp_model` a `MilpOutcome`,
-//! `to_e_schedule` a bare tuple. The [`Solver`] trait replaces that
-//! scatter with one contract:
+//! Each exact algorithm has its own native entry point with its own
+//! shape — `dp_polynomial` returning a `DpResult`, `solve_exact` a
+//! `BnbResult`, `to_e_schedule` a bare tuple. The [`Solver`] trait
+//! wraps them all in one contract:
 //!
 //! ```text
 //! solve(&Instance, &PowerProfile, Budget)
@@ -24,8 +23,6 @@
 //! | `ilp`        | [`crate::ilp`]             | branch-and-bound certified by the ILP checker | optimal |
 //! | `milp`       | [`crate::milp`]            | compact A.4 model, sparse revised-simplex B&B (warm-started window splits) | optimal / feasible + bound |
 //! | `lp`         | [`crate::sparse_model`]    | sparse LP-relaxation lower bound + best heuristic | optimal iff bound met |
-//! | `milp-dense` | [`crate::milp`]            | literal A.4 model via the dense tableau B&B | optimal (tiny oracle) |
-//! | `lp-dense`   | [`crate::simplex`]         | dense LP-relaxation bound + best heuristic | optimal iff bound met (tiny oracle) |
 //!
 //! Solvers that cannot handle an instance (multi-unit input to a
 //! uniprocessor method, a time-indexed model too large to materialise)
@@ -153,8 +150,6 @@ pub struct SolveStats {
     pub cuts_cover: u32,
     /// MIR cuts within `cuts`.
     pub cuts_mir: u32,
-    /// Phase-2 pricing rule of the LP engine (`""` for non-LP methods).
-    pub pricing: &'static str,
 }
 
 /// Outcome of a successful [`Solver::solve`] call.
@@ -326,19 +321,11 @@ pub enum SolverKind {
     /// Sparse LP-relaxation bound + incumbent
     /// ([`crate::sparse_model::LpSolver`]).
     Lp,
-    /// Literal A.4 model via the dense tableau B&B — the sparse
-    /// engine's differential-testing oracle
-    /// ([`crate::milp::MilpDenseSolver`]).
-    MilpDense,
-    /// Dense LP-relaxation bound + incumbent — oracle counterpart of
-    /// `lp` ([`crate::simplex::LpDenseSolver`]).
-    LpDense,
 }
 
 impl SolverKind {
-    /// Every registered solver, general-purpose first, dense oracles
-    /// last.
-    pub const ALL: [SolverKind; 9] = [
+    /// Every registered solver.
+    pub const ALL: [SolverKind; 7] = [
         SolverKind::Bnb,
         SolverKind::Dp,
         SolverKind::DpPseudo,
@@ -346,8 +333,6 @@ impl SolverKind {
         SolverKind::Ilp,
         SolverKind::Milp,
         SolverKind::Lp,
-        SolverKind::MilpDense,
-        SolverKind::LpDense,
     ];
 
     /// Stable label (inverse of [`SolverKind::parse`]).
@@ -360,8 +345,6 @@ impl SolverKind {
             SolverKind::Ilp => "ilp",
             SolverKind::Milp => "milp",
             SolverKind::Lp => "lp",
-            SolverKind::MilpDense => "milp-dense",
-            SolverKind::LpDense => "lp-dense",
         }
     }
 
@@ -382,8 +365,6 @@ impl SolverKind {
             SolverKind::Ilp => Box::new(crate::ilp::IlpSolver::default()),
             SolverKind::Milp => Box::new(crate::milp::MilpSolver::default()),
             SolverKind::Lp => Box::new(crate::sparse_model::LpSolver::default()),
-            SolverKind::MilpDense => Box::new(crate::milp::MilpDenseSolver::default()),
-            SolverKind::LpDense => Box::new(crate::simplex::LpDenseSolver::default()),
         }
     }
 
@@ -414,12 +395,6 @@ impl SolverKind {
                 "compact A.4 model via sparse revised-simplex B&B (optimal or feasible + bound)"
             }
             SolverKind::Lp => "sparse LP-relaxation lower bound + best heuristic incumbent",
-            SolverKind::MilpDense => {
-                "literal A.4 model via dense tableau B&B (optimal; tiny oracle)"
-            }
-            SolverKind::LpDense => {
-                "dense LP-relaxation lower bound + best heuristic incumbent (tiny oracle)"
-            }
         }
     }
 }
@@ -533,6 +508,7 @@ mod tests {
             assert_eq!(k.build().name(), k.name());
             assert!(!k.describe().is_empty());
         }
+        assert_eq!(SolverKind::ALL.len(), 7);
         assert_eq!(SolverKind::parse("gurobi"), None);
         assert_eq!(SolverKind::Bnb.to_string(), "bnb");
     }

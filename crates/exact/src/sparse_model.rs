@@ -372,32 +372,11 @@ pub(crate) fn ceil_bound(objective: f64) -> Cost {
     (objective - 1e-6).ceil().max(0.0) as Cost
 }
 
-/// Translates a dense [`crate::simplex::LpProblem`] (implicit `x ≥ 0`)
-/// into a [`SparseLp`] — the bridge the `lp_parity` differential suite
-/// and the benches use to run both engines on identical models.
-pub fn sparse_from_lp_problem(p: &crate::simplex::LpProblem) -> SparseLp {
-    let mut lp = SparseLp::new();
-    for j in 0..p.num_vars {
-        lp.add_col(p.objective[j], 0.0, f64::INFINITY);
-    }
-    for (terms, cmp, rhs) in &p.rows {
-        let terms: Vec<(u32, f64)> = terms.iter().map(|&(j, a)| (j as u32, a)).collect();
-        let cmp = match cmp {
-            crate::simplex::LpCmp::Le => RowCmp::Le,
-            crate::simplex::LpCmp::Eq => RowCmp::Eq,
-            crate::simplex::LpCmp::Ge => RowCmp::Ge,
-        };
-        lp.add_row(terms, cmp, *rhs);
-    }
-    lp
-}
-
 /// The sparse LP-relaxation solver (registry name `lp`): presolve +
 /// revised simplex on the compact model, yielding a *proven lower
 /// bound* that certifies (or brackets) the strongest heuristic
-/// incumbent — the same contract as the dense
-/// [`crate::simplex::LpDenseSolver`], two orders of magnitude further
-/// up the size axis.
+/// incumbent — the status is `optimal` exactly when the incumbent
+/// meets the bound.
 #[derive(Debug, Clone, Copy)]
 pub struct LpSolver {
     /// Refuse models with more columns than this (memory guard; the
@@ -487,7 +466,6 @@ impl LpSolver {
         let stats = SolveStats {
             lp_iterations: sol.iterations,
             dual_iterations: sol.stats.dual_iters,
-            pricing: sol.stats.pricing,
             ..SolveStats::default()
         };
         match sol.status {

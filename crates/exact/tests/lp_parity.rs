@@ -1,37 +1,37 @@
 //! `lp_parity` — the differential suite holding the two LP engines to
 //! the same answers:
 //!
-//! * the dense two-phase tableau (`cawo_exact::simplex::solve_lp`, the
+//! * the dense two-phase tableau (`support::simplex::solve_lp`, the
 //!   oracle) and the sparse revised simplex (`cawo_lp`) solve the
 //!   *identical* model (via `sparse_from_lp_problem`) on randomized
 //!   bounded LPs and on the Appendix A.4 `lp_relaxation` fixtures, and
 //!   must report bit-comparable objectives (≤ 1e-6 relative),
 //! * presolve must not change objectives,
 //! * warm starts must equal cold starts,
-//! * the sparse MILP / LP solvers must agree with their dense oracle
-//!   counterparts (and the combinatorial `bnb`) on the MILP fixtures.
+//! * the sparse MILP / LP solvers must agree with the dense MILP cost
+//!   and LP bound (and the combinatorial `bnb`) on the MILP fixtures.
 //!
 //! Run by name in CI: `cargo test -p cawo_exact --test lp_parity`.
 
 // Test code may unwrap freely (policy: clippy.toml); integration-test
 // crates need the explicit allow because they are not cfg(test).
 #![allow(clippy::unwrap_used)]
+mod support;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use cawo_core::enhanced::UnitInfo;
 use cawo_core::Instance;
-use cawo_exact::milp::lp_relaxation;
-use cawo_exact::simplex::{solve_lp, LpCmp, LpOutcome, LpProblem};
-use cawo_exact::{
-    sparse_from_lp_problem, Budget, IlpModel, LpDenseSolver, LpSolver, MilpDenseSolver, MilpSolver,
-    SolveStatus, Solver, SparseA4Model,
-};
+use cawo_exact::{Budget, IlpModel, LpSolver, MilpSolver, SolveStatus, Solver, SparseA4Model};
 use cawo_graph::dag::DagBuilder;
 use cawo_lp::{presolve, LpStatus, SimplexOptions, SimplexSolver};
 use cawo_platform::{PowerProfile, Time};
+use support::milp::lp_relaxation;
+use support::simplex::{solve_lp, LpCmp, LpOutcome, LpProblem};
+use support::{dense_lp_bound, dense_milp_cost, sparse_from_lp_problem};
 
-/// Single-unit chain instance (the shape all seven-plus solvers accept).
+/// Single-unit chain instance (the shape all seven solvers accept).
 fn chain(exec: &[Time], p_idle: u64, p_work: u64) -> Instance {
     let n = exec.len();
     let mut b = DagBuilder::new(n);
@@ -216,27 +216,25 @@ fn sparse_solvers_agree_with_dense_oracles_and_bnb() {
         assert_eq!(sparse_milp.status, SolveStatus::Optimal, "trial {trial}");
         assert_eq!(sparse_milp.cost, bnb.cost, "trial {trial}: sparse milp");
 
-        let dense_milp = MilpDenseSolver::default()
-            .solve(&inst, &profile, budget)
-            .unwrap();
-        assert_eq!(dense_milp.cost, bnb.cost, "trial {trial}: dense milp");
+        assert_eq!(
+            dense_milp_cost(&inst, &profile),
+            bnb.cost,
+            "trial {trial}: dense milp"
+        );
 
-        // Both LP bounds are valid and the solvers report honestly.
-        for (label, res) in [
-            ("lp", LpSolver::default().solve(&inst, &profile, budget)),
-            (
-                "lp-dense",
-                LpDenseSolver::default().solve(&inst, &profile, budget),
-            ),
+        // Both LP bounds are valid and the sparse solver reports
+        // honestly.
+        let lp = LpSolver::default().solve(&inst, &profile, budget).unwrap();
+        assert!(lp.cost >= bnb.cost, "trial {trial}: lp");
+        for (label, lb) in [
+            ("lp", lp.lower_bound.unwrap_or(0)),
+            ("dense lp", dense_lp_bound(&inst, &profile)),
         ] {
-            let res = res.unwrap();
-            let lb = res.lower_bound.unwrap_or(0);
             assert!(
                 lb <= bnb.cost,
                 "trial {trial}: {label} bound {lb} exceeds optimum {}",
                 bnb.cost
             );
-            assert!(res.cost >= bnb.cost, "trial {trial}: {label}");
         }
 
         // The sparse model certifies the optimal schedule at the

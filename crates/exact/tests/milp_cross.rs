@@ -1,17 +1,19 @@
 //! Cross-validation of the three exact methods on the same instances:
-//! the MILP solver on the literal Appendix A.4 model, the combinatorial
-//! branch-and-bound, and (single-unit cases) the uniprocessor DP must
-//! all report the same optimal carbon cost.
+//! the dense MILP oracle (`tests/support`) on the literal Appendix A.4
+//! model, the combinatorial branch-and-bound, and (single-unit cases)
+//! the uniprocessor DP must all report the same optimal carbon cost.
 
 // Test code may unwrap freely (policy: clippy.toml); integration-test
 // crates need the explicit allow because they are not cfg(test).
 #![allow(clippy::unwrap_used)]
+mod support;
+
 use cawo_core::enhanced::UnitInfo;
 use cawo_core::Instance;
-use cawo_exact::milp::{solve_ilp_model, MilpConfig, MilpOutcome};
 use cawo_exact::{dp_polynomial, solve_exact, BnbConfig, IlpModel};
 use cawo_graph::dag::DagBuilder;
 use cawo_platform::{PowerProfile, Time};
+use support::milp::{solve_ilp_model, MilpConfig, MilpOutcome};
 
 fn chain(exec: &[Time], p_idle: u64, p_work: u64) -> Instance {
     let n = exec.len();

@@ -1,9 +1,6 @@
-//! A dense two-phase primal simplex solver.
+//! A dense two-phase primal simplex solver — the test-only oracle.
 //!
-//! This is the LP engine underneath the [`milp`](crate::milp) solver —
-//! together they let the repository *solve* the Appendix A.4 ILP without
-//! Gurobi (DESIGN.md, Substitution 1). The implementation is a textbook
-//! full-tableau method:
+//! A textbook full-tableau method, small enough to audit by eye:
 //!
 //! * constraints `≤ / = / ≥` are normalised to equalities with slack,
 //!   surplus and artificial variables,
@@ -12,11 +9,10 @@
 //! * Bland's rule guarantees termination on degenerate problems.
 //!
 //! Dense tableaus are quadratic in memory, which caps this solver at
-//! hundreds of variables — since the sparse revised simplex of
-//! [`cawo_lp`] took over the production `lp`/`milp` paths, this module's
-//! job is to stay small and auditable as the *differential-testing
-//! oracle* (`lp_parity` holds the two engines to bit-comparable
-//! objectives; the `lp-dense`/`milp-dense` registry entries expose it).
+//! hundreds of variables. The production `lp`/`milp` solvers run on the
+//! sparse revised simplex of `cawo_lp`; this module stays as their
+//! *differential-testing oracle* (`lp_parity` holds the two engines to
+//! bit-comparable objectives, `dense_oracle` holds its unit tests).
 
 /// Comparison operator of an LP constraint row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -188,8 +184,6 @@ pub fn solve_lp(problem: &LpProblem) -> LpOutcome {
         }
         if !run_simplex(&mut tab, &mut obj1, &mut basis, total) {
             // Phase 1 is bounded by construction; unbounded = bug.
-            // cawo-lint: allow(panic-path) — the phase-1 objective is a
-            // sum of artificials, bounded below by 0.
             unreachable!("phase 1 objective is bounded below by 0");
         }
         if -obj1[total] > 1e-7 {
@@ -292,8 +286,7 @@ fn pivot(
     // Split the tableau around the pivot row so the other rows can be
     // updated against it without cloning it each pivot.
     let (before, rest) = tab.split_at_mut(row);
-    // cawo-lint: allow(panic-path) — `row < tab.len()`, so the split
-    // tail is non-empty.
+    // `row < tab.len()`, so the split tail is non-empty.
     let (pivot_row, after) = rest.split_first_mut().expect("pivot row in range");
     for r in before.iter_mut().chain(after.iter_mut()) {
         if r[col].abs() > EPS {
@@ -310,212 +303,4 @@ fn pivot(
         }
     }
     basis[row] = col;
-}
-
-/// The LP relaxation of the *literal* Appendix A.4 model solved by the
-/// dense tableau — the differential-testing oracle behind the sparse
-/// [`crate::sparse_model::LpSolver`] (registry name `lp-dense`). One
-/// two-phase simplex solve yields a *proven lower bound* on the optimal
-/// carbon cost (the objective is integral, so the bound rounds up),
-/// which is paired with the strongest heuristic incumbent. When the
-/// incumbent meets the bound the result is certified
-/// [`SolveStatus::Optimal`](crate::solver::SolveStatus::Optimal) without any branching; otherwise it is
-/// returned as [`SolveStatus::Feasible`](crate::solver::SolveStatus::Feasible) with the bound attached.
-///
-/// The dense tableau caps the tractable model size; larger instances
-/// are declined as [`crate::solver::SolveError::Unsupported`].
-#[derive(Debug, Clone, Copy)]
-pub struct LpDenseSolver {
-    /// Refuse models with more variables than this. One LP solve is
-    /// much cheaper than the MILP search, but the dense tableau still
-    /// pays rows × columns per pivot, and the row count outgrows the
-    /// variable count (see [`crate::milp::MilpDenseSolver::max_vars`]).
-    pub max_vars: usize,
-}
-
-impl Default for LpDenseSolver {
-    fn default() -> Self {
-        LpDenseSolver { max_vars: 600 }
-    }
-}
-
-impl crate::solver::Solver for LpDenseSolver {
-    fn name(&self) -> &'static str {
-        "lp-dense"
-    }
-
-    fn solve(
-        &self,
-        inst: &cawo_core::Instance,
-        profile: &cawo_platform::PowerProfile,
-        _budget: crate::solver::Budget,
-    ) -> Result<crate::solver::SolveResult, crate::solver::SolveError> {
-        use crate::solver::{SolveError, SolveResult, SolveStats, SolveStatus};
-        crate::solver::require_feasible(inst, profile)?;
-        let n = inst.node_count();
-        let t = profile.deadline() as usize;
-        let var_count = crate::ilp::IlpModel::var_count_for(n, t);
-        if var_count > self.max_vars {
-            return Err(SolveError::Unsupported(format!(
-                "LP relaxation needs {var_count} variables (cap {})",
-                self.max_vars
-            )));
-        }
-        let model = crate::ilp::IlpModel::build(inst, profile);
-        let (lp, _) = crate::milp::lp_relaxation(&model);
-        let lower_bound = match solve_lp(&lp) {
-            LpOutcome::Optimal { objective, .. } => {
-                // The true objective is integral; rounding the relaxed
-                // bound up (modulo float noise) keeps it valid.
-                (objective - 1e-6).ceil().max(0.0) as cawo_core::Cost
-            }
-            LpOutcome::Infeasible => {
-                return Err(SolveError::Infeasible(
-                    "LP relaxation infeasible — model/instance mismatch".into(),
-                ))
-            }
-            // cawo-lint: allow(panic-path) — the A.4 objective is a sum
-            // of non-negative overshoot variables, bounded below by 0.
-            LpOutcome::Unbounded => unreachable!("A.4 objective is bounded below by 0"),
-        };
-        let (schedule, cost) = crate::solver::heuristic_incumbent(inst, profile);
-        Ok(SolveResult {
-            schedule,
-            cost,
-            status: if cost <= lower_bound {
-                SolveStatus::Optimal
-            } else {
-                SolveStatus::Feasible
-            },
-            nodes: 0,
-            lower_bound: Some(lower_bound),
-            stats: SolveStats::default(),
-            basis: None,
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn optimal(o: LpOutcome) -> (f64, Vec<f64>) {
-        match o {
-            LpOutcome::Optimal {
-                objective,
-                solution,
-            } => (objective, solution),
-            other => panic!("expected optimal, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn maximisation_via_negated_objective() {
-        // max x + y s.t. x + y <= 4, x <= 2  ⇒  min -(x+y) = -4.
-        let mut p = LpProblem::new(2);
-        p.objective = vec![-1.0, -1.0];
-        p.add_row(vec![(0, 1.0), (1, 1.0)], LpCmp::Le, 4.0);
-        p.add_row(vec![(0, 1.0)], LpCmp::Le, 2.0);
-        let (obj, sol) = optimal(solve_lp(&p));
-        assert!((obj + 4.0).abs() < 1e-6);
-        assert!((sol[0] + sol[1] - 4.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn equality_constraints() {
-        // min x s.t. x + y = 3 ⇒ x = 0, y = 3.
-        let mut p = LpProblem::new(2);
-        p.objective = vec![1.0, 0.0];
-        p.add_row(vec![(0, 1.0), (1, 1.0)], LpCmp::Eq, 3.0);
-        let (obj, sol) = optimal(solve_lp(&p));
-        assert!(obj.abs() < 1e-6);
-        assert!((sol[1] - 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn ge_constraints_need_phase1() {
-        // min x s.t. x >= 2.5 ⇒ 2.5.
-        let mut p = LpProblem::new(1);
-        p.objective = vec![1.0];
-        p.add_row(vec![(0, 1.0)], LpCmp::Ge, 2.5);
-        let (obj, _) = optimal(solve_lp(&p));
-        assert!((obj - 2.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn detects_infeasibility() {
-        let mut p = LpProblem::new(1);
-        p.objective = vec![0.0];
-        p.add_row(vec![(0, 1.0)], LpCmp::Ge, 2.0);
-        p.add_row(vec![(0, 1.0)], LpCmp::Le, 1.0);
-        assert_eq!(solve_lp(&p), LpOutcome::Infeasible);
-    }
-
-    #[test]
-    fn detects_unboundedness() {
-        let mut p = LpProblem::new(1);
-        p.objective = vec![-1.0];
-        assert_eq!(solve_lp(&p), LpOutcome::Unbounded);
-    }
-
-    #[test]
-    fn negative_rhs_is_normalised() {
-        // x - y <= -1 with x,y >= 0: e.g. y >= x + 1. min y ⇒ y = 1.
-        let mut p = LpProblem::new(2);
-        p.objective = vec![0.0, 1.0];
-        p.add_row(vec![(0, 1.0), (1, -1.0)], LpCmp::Le, -1.0);
-        let (obj, _) = optimal(solve_lp(&p));
-        assert!((obj - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn degenerate_problem_terminates() {
-        // Classic degeneracy: multiple constraints active at the origin.
-        let mut p = LpProblem::new(2);
-        p.objective = vec![-1.0, -1.0];
-        p.add_row(vec![(0, 1.0)], LpCmp::Le, 0.0);
-        p.add_row(vec![(0, 1.0), (1, 1.0)], LpCmp::Le, 1.0);
-        p.add_row(vec![(1, 1.0)], LpCmp::Le, 1.0);
-        let (obj, sol) = optimal(solve_lp(&p));
-        assert!((obj + 1.0).abs() < 1e-6);
-        assert!(sol[0].abs() < 1e-6);
-    }
-
-    #[test]
-    fn upper_bound_helper() {
-        let mut p = LpProblem::new(1);
-        p.objective = vec![-1.0];
-        p.add_upper_bound(0, 0.75);
-        let (obj, sol) = optimal(solve_lp(&p));
-        assert!((obj + 0.75).abs() < 1e-6);
-        assert!((sol[0] - 0.75).abs() < 1e-6);
-    }
-
-    #[test]
-    fn redundant_equalities_are_handled() {
-        // Two identical equalities: phase 1 leaves a zero artificial in
-        // the basis for the redundant row.
-        let mut p = LpProblem::new(2);
-        p.objective = vec![1.0, 2.0];
-        p.add_row(vec![(0, 1.0), (1, 1.0)], LpCmp::Eq, 2.0);
-        p.add_row(vec![(0, 1.0), (1, 1.0)], LpCmp::Eq, 2.0);
-        let (obj, sol) = optimal(solve_lp(&p));
-        assert!((sol[0] + sol[1] - 2.0).abs() < 1e-6);
-        assert!((obj - 2.0).abs() < 1e-6); // all mass on x0
-    }
-
-    #[test]
-    fn diet_style_problem() {
-        // min 2x + 3y s.t. x + y >= 4, x >= 1, y >= 1.
-        let mut p = LpProblem::new(2);
-        p.objective = vec![2.0, 3.0];
-        p.add_row(vec![(0, 1.0), (1, 1.0)], LpCmp::Ge, 4.0);
-        p.add_row(vec![(0, 1.0)], LpCmp::Ge, 1.0);
-        p.add_row(vec![(1, 1.0)], LpCmp::Ge, 1.0);
-        let (obj, sol) = optimal(solve_lp(&p));
-        // Push everything onto the cheaper x: x = 3, y = 1.
-        assert!((sol[0] - 3.0).abs() < 1e-6);
-        assert!((sol[1] - 1.0).abs() < 1e-6);
-        assert!((obj - 9.0).abs() < 1e-6);
-    }
 }

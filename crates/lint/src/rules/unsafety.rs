@@ -19,7 +19,7 @@ const SAFETY_WINDOW: u32 = 3;
 ///   cannot see (e.g. code behind `cfg` gates CI never compiles).
 /// * `safety-comment` — an `unsafe` *block* (`unsafe {`) or *impl*
 ///   (`unsafe impl`) without a `// SAFETY:` comment on the same line
-///   or within [`SAFETY_WINDOW`] lines above. `unsafe fn` declarations
+///   or within `SAFETY_WINDOW` lines above. `unsafe fn` declarations
 ///   are excluded: their contract lives in the `# Safety` doc section,
 ///   which rustdoc and clippy (`missing_safety_doc`) already police.
 pub fn unsafe_rules(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {

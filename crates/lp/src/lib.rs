@@ -1,9 +1,9 @@
 //! `cawo_lp` — a sparse bounded-variable revised-simplex LP engine.
 //!
 //! The exact baselines of the CaWoSched reproduction (the Appendix A.4
-//! ILP, its LP relaxation) were limited to ~2k-variable models by the
-//! dense full-tableau simplex in `cawo_exact::simplex`. This crate is
-//! the subsystem that lifts them to the paper's 200-task Fig. 7 regime:
+//! ILP, its LP relaxation) were limited to ~2k-variable models by a
+//! dense full-tableau simplex. This crate is the subsystem that lifts
+//! them to the paper's 200-task Fig. 7 regime:
 //!
 //! * [`csc`] — compressed sparse column matrices ([`CscMatrix`]),
 //! * [`model`] — the [`SparseLp`] problem form: `min cᵀx` over sparse
@@ -14,17 +14,18 @@
 //! * [`lu`] — Markowitz-style sparse LU factorisation of the basis with
 //!   product-form eta updates and periodic refactorisation,
 //! * [`simplex`] — the bounded-variable revised simplex itself:
-//!   composite (artificial-free) phase 1, Dantzig + partial pricing,
-//!   bound flips, Bland anti-cycling, and **warm starts** from a saved
-//!   [`Basis`] so branch-and-bound nodes re-solve in a handful of
-//!   pivots ([`SimplexSolver`]).
+//!   composite (artificial-free) phase 1, Devex partial pricing in
+//!   phase 2, a dual-simplex repair loop for warm starts, bound flips,
+//!   Bland anti-cycling, and **warm starts** from a saved [`Basis`] so
+//!   branch-and-bound nodes re-solve in a handful of pivots
+//!   ([`SimplexSolver`]).
 //!
-//! The crate is deliberately free of workspace dependencies: it speaks
-//! plain `f64` LP, and `cawo_exact` owns the translation from
-//! scheduling instances to [`SparseLp`] models. The dense tableau stays
-//! alive next door as the differential-testing oracle — the `lp_parity`
-//! suite in `cawo_exact` holds the two engines to bit-comparable
-//! objectives.
+//! The crate depends only on the thread pool and the observability
+//! counters: it speaks plain `f64` LP, and `cawo_exact` owns the
+//! translation from scheduling instances to [`SparseLp`] models. The
+//! dense tableau survives in `cawo_exact`'s test support as the
+//! differential-testing oracle — the `lp_parity` suite holds the two
+//! engines to bit-comparable objectives.
 
 pub mod csc;
 pub mod lu;
@@ -36,5 +37,5 @@ pub use csc::CscMatrix;
 pub use model::{Row, RowCmp, SparseLp};
 pub use presolve::{presolve, PresolveInfeasible, Presolved};
 pub use simplex::{
-    solve, Basis, LpSolution, LpStats, LpStatus, Pricing, SimplexOptions, SimplexSolver, VStat,
+    solve, Basis, LpSolution, LpStats, LpStatus, SimplexOptions, SimplexSolver, VStat,
 };

@@ -7,7 +7,7 @@
 //! ```
 //!
 //! with native variable bounds (including free and fixed variables) —
-//! unlike the dense tableau in `cawo_exact::simplex`, a binary's
+//! unlike a dense tableau over `x ≥ 0`, a binary's
 //! `x ≤ 1` costs no constraint row here, which alone removes `n·T` rows
 //! from the time-indexed scheduling models. Bounds are mutable after
 //! construction ([`SparseLp::set_bounds`]) so branch-and-bound nodes

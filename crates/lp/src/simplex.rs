@@ -14,13 +14,12 @@
 //!   strictly reduces infeasibility or is degenerate. No artificial
 //!   columns, so warm starts from any basis repair themselves.
 //! * **Phase 2** is textbook bounded-variable simplex with bound flips.
-//! * **Pricing** defaults to [`Pricing::Devex`]: reference-framework
-//!   Devex weights over an incrementally maintained reduced-cost
-//!   vector, scanned in cyclic partial blocks — the weights steer the
-//!   solver through the massive degeneracy of the windowed scheduling
-//!   models in a fraction of the Dantzig iteration count.
-//!   [`Pricing::Dantzig`] (sparse dot products per scanned column)
-//!   remains available as a baseline. Expensive sweeps are split
+//! * **Phase-2 pricing** is Devex: reference-framework weights over an
+//!   incrementally maintained reduced-cost vector, scanned in cyclic
+//!   partial blocks — the weights steer the solver through the massive
+//!   degeneracy of the windowed scheduling models. Phase 1 prices
+//!   through fresh dual prices (a sparse dot product per scanned
+//!   column) in the same cyclic blocks. Expensive sweeps are split
 //!   across the current `cawo_par` pool behind a deterministic
 //!   work-based gate with order-preserving reductions, so results are
 //!   bit-identical at any thread count. Degeneracy stalls flip the
@@ -34,8 +33,7 @@
 //!   pivots. The dual loop is purely an accelerator: every terminal
 //!   verdict is still issued by the primal phases from a fresh
 //!   factorisation, so a numerically confused dual pass can never
-//!   fabricate an answer. A bound-flipping (long-step) dual ratio
-//!   test is available behind [`SimplexOptions::dual_long_step`].
+//!   fabricate an answer.
 //! * **Warm starts**: [`SimplexSolver`] keeps its basis between solves;
 //!   bound changes ([`SimplexSolver::set_col_bounds`]) re-enter through
 //!   the dual loop or phase 1, which typically needs a handful of
@@ -127,31 +125,6 @@ pub enum LpStatus {
     TimeLimit,
 }
 
-/// Phase-2 primal pricing rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Pricing {
-    /// Devex reference-framework pricing over a maintained
-    /// reduced-cost vector (the default): per-iteration scans are a
-    /// score comparison instead of a sparse dot product, and the
-    /// weights approximate steepest-edge norms, slashing the pivot
-    /// count on degenerate time-indexed models.
-    #[default]
-    Devex,
-    /// Dantzig's rule inside cyclic partial-pricing blocks — the
-    /// pre-Devex behaviour, kept as a comparison baseline.
-    Dantzig,
-}
-
-impl Pricing {
-    /// Lower-case name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Pricing::Devex => "devex",
-            Pricing::Dantzig => "dantzig",
-        }
-    }
-}
-
 /// Counters describing how a solve spent its effort — wired through
 /// `SolveResult` so benches can report *why* a solve got faster.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -162,16 +135,14 @@ pub struct LpStats {
     pub phase2_iters: u64,
     /// Dual-simplex pivots (warm-start repair loop).
     pub dual_iters: u64,
-    /// Nonbasic bound flips (primal long steps + dual BFRT flips).
+    /// Primal bound flips (the entering column crosses its own range).
     pub bound_flips: u64,
     /// Basis refactorisations.
     pub refactors: u64,
     /// Devex reference-framework resets (weights grew past the cap).
     pub devex_resets: u64,
-    /// Phase-2 pricing rule in effect ("devex" / "dantzig").
-    pub pricing: &'static str,
-    /// Column count from which Dantzig pricing blocks are split across
-    /// the pool (the deterministic per-column-work gate).
+    /// Column count from which fresh-dual pricing blocks are split
+    /// across the pool (the deterministic per-column-work gate).
     pub par_gate_cols: usize,
 }
 
@@ -224,22 +195,11 @@ pub struct SimplexOptions {
     pub max_iters: u64,
     /// Optional wall-clock cap (polled every few iterations).
     pub time_limit: Option<std::time::Duration>,
-    /// Primal feasibility tolerance.
-    pub feas_tol: f64,
-    /// Reduced-cost (dual) tolerance.
-    pub dual_tol: f64,
-    /// Columns scanned per partial-pricing round.
-    pub pricing_block: usize,
-    /// Phase-2 pricing rule.
-    pub pricing: Pricing,
     /// Run the dual-simplex repair loop before the primal phases when
     /// the warm-start basis is primal-infeasible but dual-feasible
     /// (the branch-and-bound child-node shape). Never changes the
     /// answer — only the route to it.
     pub dual_warm: bool,
-    /// Bound-flipping (long-step) dual ratio test: pass over boxed
-    /// breakpoints, flipping them in bulk, before the pivot.
-    pub dual_long_step: bool,
 }
 
 impl Default for SimplexOptions {
@@ -247,16 +207,17 @@ impl Default for SimplexOptions {
         SimplexOptions {
             max_iters: 2_000_000,
             time_limit: None,
-            feas_tol: 1e-7,
-            dual_tol: 1e-7,
-            pricing_block: 16384,
-            pricing: Pricing::Devex,
             dual_warm: true,
-            dual_long_step: false,
         }
     }
 }
 
+/// Primal feasibility tolerance.
+const FEAS_TOL: f64 = 1e-7;
+/// Reduced-cost (dual) tolerance.
+const DUAL_TOL: f64 = 1e-7;
+/// Columns scanned per partial-pricing round.
+const PRICING_BLOCK: usize = 16384;
 /// Refactorise after this many product-form updates.
 const REFACTOR_INTERVAL: usize = 50;
 /// Consecutive degenerate steps before switching to Bland's rule.
@@ -300,8 +261,9 @@ pub struct SimplexSolver {
     hi: Vec<f64>,
     /// Static per-row nonzero counts (Markowitz tie-break).
     row_counts: Vec<u32>,
-    /// Dantzig pricing goes parallel from this many scanned columns
-    /// (PAR_MIN_WORK over the model's average column nonzero count).
+    /// Fresh-dual block pricing goes parallel from this many scanned
+    /// columns (PAR_MIN_WORK over the model's average column nonzero
+    /// count).
     par_min_cols: usize,
     // --- mutable simplex state ---
     vstat: Vec<VStat>,
@@ -409,8 +371,8 @@ impl SimplexSolver {
         solver
     }
 
-    /// Column count from which Dantzig pricing blocks are scanned in
-    /// parallel — the deterministic work gate, derived from the
+    /// Column count from which fresh-dual pricing blocks are scanned
+    /// in parallel — the deterministic work gate, derived from the
     /// model's average column density (recorded by the benches).
     pub fn par_gate_cols(&self) -> usize {
         self.par_min_cols
@@ -517,7 +479,6 @@ impl SimplexSolver {
         self.best_dual_bound = None;
         let mut iterations: u64 = 0;
         let mut stats = LpStats {
-            pricing: opts.pricing.name(),
             par_gate_cols: self.par_min_cols,
             ..LpStats::default()
         };
@@ -604,10 +565,10 @@ impl SimplexSolver {
             for (p, &bj) in self.basis.iter().enumerate() {
                 let (l, h) = (self.lo[bj as usize], self.hi[bj as usize]);
                 let v = self.xb[p];
-                if v < l - opts.feas_tol {
+                if v < l - FEAS_TOL {
                     cb[p] = -1.0;
                     infeasible = true;
-                } else if v > h + opts.feas_tol {
+                } else if v > h + FEAS_TOL {
                     cb[p] = 1.0;
                     infeasible = true;
                 }
@@ -619,10 +580,10 @@ impl SimplexSolver {
                 }
             }
 
-            // Pricing. Phase 2 under Devex scores maintained reduced
-            // costs (no BTRAN, no dot products); phase 1, Dantzig mode
-            // and Bland recovery price through fresh dual prices.
-            let use_devex = !phase1 && !bland && opts.pricing == Pricing::Devex;
+            // Entering column. Phase 2 under Devex scores maintained reduced
+            // costs (no BTRAN, no dot products); phase 1 and Bland
+            // recovery price through fresh dual prices.
+            let use_devex = !phase1 && !bland;
             if !use_devex {
                 devex = None;
             }
@@ -640,7 +601,7 @@ impl SimplexSolver {
                     dv.max_gamma = 1.0;
                     stats.devex_resets += 1;
                 }
-                self.devex_price(dv, opts, &mut price_cursor, &banned, iterations)
+                self.devex_price(dv, &mut price_cursor, &banned, iterations)
             } else {
                 // Dual prices (keep the basic costs: the entering
                 // column's reduced cost is re-derived from them as an
@@ -650,17 +611,10 @@ impl SimplexSolver {
                 if let Some(lu) = &self.lu {
                     lu.btran(&mut y);
                 }
-                // Cyclic partial blocks, Dantzig inside a block;
-                // Bland's rule (first eligible index) when stalled.
-                self.price(
-                    &y,
-                    phase1,
-                    opts,
-                    &mut price_cursor,
-                    bland,
-                    &banned,
-                    iterations,
-                )
+                // Cyclic partial blocks, largest violation inside a
+                // block; Bland's rule (first eligible index) when
+                // stalled.
+                self.price(&y, phase1, &mut price_cursor, bland, &banned, iterations)
             };
             let Some((q, dq)) = entering else {
                 if banned.iter().any(|&b| b > iterations) {
@@ -746,7 +700,7 @@ impl SimplexSolver {
                 let bj = self.basis[p] as usize;
                 let (l, h) = (self.lo[bj], self.hi[bj]);
                 let v = self.xb[p];
-                let (t, at) = if phase1 && v < l - opts.feas_tol {
+                let (t, at) = if phase1 && v < l - FEAS_TOL {
                     // Below its lower bound: blocks where it becomes
                     // feasible (rate > 0), otherwise drifts further out
                     // (already priced into the phase-1 objective).
@@ -755,7 +709,7 @@ impl SimplexSolver {
                     } else {
                         continue;
                     }
-                } else if phase1 && v > h + opts.feas_tol {
+                } else if phase1 && v > h + FEAS_TOL {
                     if rate < 0.0 {
                         ((h - v) / rate, VStat::AtUpper)
                     } else {
@@ -955,8 +909,7 @@ impl SimplexSolver {
         let mut violations = 0usize;
         for (p, &bj) in self.basis.iter().enumerate() {
             let v = self.xb[p];
-            if v < self.lo[bj as usize] - opts.feas_tol || v > self.hi[bj as usize] + opts.feas_tol
-            {
+            if v < self.lo[bj as usize] - FEAS_TOL || v > self.hi[bj as usize] + FEAS_TOL {
                 violations += 1;
             }
         }
@@ -976,7 +929,7 @@ impl SimplexSolver {
         if let Some(lu) = &self.lu {
             lu.btran(&mut y);
         }
-        let slack_tol = 10.0 * opts.dual_tol;
+        let slack_tol = 10.0 * DUAL_TOL;
         let mut d = vec![0.0f64; total];
         for j in 0..total {
             if self.vstat[j] == VStat::Basic || self.lo[j] == self.hi[j] {
@@ -1003,9 +956,6 @@ impl SimplexSolver {
         }
 
         let mut alphas = vec![0.0f64; total];
-        let mut bps: Vec<(f64, u32)> = Vec::new();
-        let mut flip_cols: Vec<u32> = Vec::new();
-        let mut agg: Vec<f64> = Vec::new();
         let mut stall: u64 = 0;
         loop {
             if *iterations >= opts.max_iters || stall >= STALL_LIMIT {
@@ -1022,7 +972,7 @@ impl SimplexSolver {
             // Leaving row: the worst primal bound violation; σ encodes
             // which bound (+1 above upper, −1 below lower).
             let mut leave: Option<(usize, f64)> = None;
-            let mut worst = opts.feas_tol;
+            let mut worst = FEAS_TOL;
             for (p, &bj) in self.basis.iter().enumerate() {
                 let (l, h) = (self.lo[bj as usize], self.hi[bj as usize]);
                 let v = self.xb[p];
@@ -1059,7 +1009,6 @@ impl SimplexSolver {
                 lu.btran(&mut rho);
             }
             let mut best: Option<(f64, usize)> = None;
-            bps.clear();
             for j in 0..total {
                 if self.vstat[j] == VStat::Basic || self.lo[j] == self.hi[j] {
                     continue;
@@ -1086,82 +1035,16 @@ impl SimplexSolver {
                     continue;
                 }
                 let ratio = (d[j] / ahat).max(0.0);
-                if opts.dual_long_step {
-                    bps.push((ratio, j as u32));
-                } else {
-                    let better = match best {
-                        None => true,
-                        Some((br, bj2)) => {
-                            let window = 1e-10 * (1.0 + ratio.min(br));
-                            ratio < br - window
-                                || (ratio <= br + window && alpha.abs() > alphas[bj2].abs())
-                        }
-                    };
-                    if better {
-                        best = Some((ratio, j));
+                let better = match best {
+                    None => true,
+                    Some((br, bj2)) => {
+                        let window = 1e-10 * (1.0 + ratio.min(br));
+                        ratio < br - window
+                            || (ratio <= br + window && alpha.abs() > alphas[bj2].abs())
                     }
-                }
-            }
-            if opts.dual_long_step && !bps.is_empty() {
-                // Bound-flipping ratio test: walk the breakpoints in
-                // ratio order; as long as flipping a boxed column to
-                // its other bound keeps the dual derivative positive,
-                // flip it and keep walking. The surviving breakpoint
-                // is the pivot — a flip-only step would leave the
-                // flipped columns dual-infeasible at their new bounds,
-                // so the walk must always end in a pivot whose d
-                // update restores their signs.
-                bps.sort_unstable_by(|a, b| {
-                    a.0.partial_cmp(&b.0)
-                        // cawo-lint: allow(panic-path) — breakpoint ratios
-                        // are finite by construction (denominators pass the
-                        // pivot tolerance); NaN would corrupt the pass.
-                        .expect("ratios are finite")
-                        .then(a.1.cmp(&b.1))
-                });
-                let mut slope = worst;
-                flip_cols.clear();
-                let mut chosen = None;
-                for (i, &(_, j32)) in bps.iter().enumerate() {
-                    let j = j32 as usize;
-                    let consume = alphas[j].abs() * (self.hi[j] - self.lo[j]);
-                    if i + 1 < bps.len() && consume.is_finite() && slope - consume > 0.0 {
-                        slope -= consume;
-                        flip_cols.push(j32);
-                    } else {
-                        chosen = Some(j);
-                        break;
-                    }
-                }
-                best = chosen.map(|j| (0.0, j));
-                if !flip_cols.is_empty() {
-                    // All flips land in one combined FTRAN.
-                    agg.clear();
-                    agg.resize(self.m, 0.0);
-                    for &j32 in &flip_cols {
-                        let j = j32 as usize;
-                        let (delta, to) = match self.vstat[j] {
-                            VStat::AtLower => (self.hi[j] - self.lo[j], VStat::AtUpper),
-                            VStat::AtUpper => (self.lo[j] - self.hi[j], VStat::AtLower),
-                            // cawo-lint: allow(panic-path) — callers iterate nonbasic
-                            // columns only; a basic column here is a corrupt basis.
-                            _ => unreachable!("only boxed columns are flipped"),
-                        };
-                        if j < self.n {
-                            self.csc.scatter_col(j, delta, &mut agg);
-                        } else {
-                            agg[j - self.n] += delta;
-                        }
-                        self.vstat[j] = to;
-                        stats.bound_flips += 1;
-                    }
-                    if let Some(lu) = &self.lu {
-                        lu.ftran(&mut agg);
-                    }
-                    self.etas.ftran(&mut agg);
-                    for (xb, &a) in self.xb.iter_mut().zip(&agg) {
-                        *xb -= a;
-                    }
+                };
+                if better {
+                    best = Some((ratio, j));
                 }
             }
             let Some((_, q)) = best else {
@@ -1182,9 +1065,8 @@ impl SimplexSolver {
                 return;
             }
             let bj = self.basis[r] as usize;
-            // Primal step (recomputed after any flips): the leaving
-            // basic travels from its violated value exactly onto the
-            // bound it violated.
+            // Primal step: the leaving basic travels from its violated
+            // value exactly onto the bound it violated.
             let delta = self.xb[r] - bound_r;
             let theta = d[q] / wr;
             if theta.abs() <= 1e-12 {
@@ -1283,13 +1165,12 @@ impl SimplexSolver {
     }
 
     /// Devex pricing over the maintained reduced costs: cyclic partial
-    /// blocks like the Dantzig path, but each scanned column costs a
+    /// blocks like the fresh-dual scan, but each scanned column costs a
     /// score comparison (`d_j² / γ_j`) instead of a sparse dot
     /// product, so the scan is cheap enough to stay sequential.
     fn devex_price(
         &self,
         dv: &Devex,
-        opts: &SimplexOptions,
         cursor: &mut usize,
         banned: &[u64],
         iteration: u64,
@@ -1297,7 +1178,7 @@ impl SimplexSolver {
         let total = self.n + self.m;
         let mut scanned = 0usize;
         while scanned < total {
-            let block = opts.pricing_block.min(total - scanned);
+            let block = PRICING_BLOCK.min(total - scanned);
             let start = *cursor;
             let mut best: Option<(f64, usize, f64)> = None; // (score, j, d)
             for k in 0..block {
@@ -1315,7 +1196,7 @@ impl SimplexSolver {
                     // columns only; a basic column here is a corrupt basis.
                     VStat::Basic => unreachable!(),
                 };
-                if viol > opts.dual_tol {
+                if viol > DUAL_TOL {
                     let score = dj * dj / dv.gamma[j];
                     if best.is_none_or(|(s, _, _)| score > s) {
                         best = Some((score, j, dj));
@@ -1535,12 +1416,10 @@ impl SimplexSolver {
     /// reduced costs are computed with the same arithmetic, and the
     /// reduction keeps the *first-encountered* maximum violation
     /// (smallest scan offset wins ties), exactly like the serial loop.
-    #[allow(clippy::too_many_arguments)]
     fn price(
         &self,
         y: &[f64],
         phase1: bool,
-        opts: &SimplexOptions,
         cursor: &mut usize,
         bland: bool,
         banned: &[u64],
@@ -1557,7 +1436,7 @@ impl SimplexSolver {
                 let j = *cursor;
                 *cursor = (*cursor + 1) % total;
                 scanned += 1;
-                if let Some((_, d, _)) = self.price_col(j, y, phase1, banned, iteration, opts) {
+                if let Some((_, d, _)) = self.price_col(j, y, phase1, banned, iteration) {
                     return Some((j, d));
                 }
             }
@@ -1565,9 +1444,9 @@ impl SimplexSolver {
         }
         let mut scanned = 0usize;
         while scanned < total {
-            let block = opts.pricing_block.min(total - scanned);
+            let block = PRICING_BLOCK.min(total - scanned);
             let start = *cursor;
-            let found = self.price_block(y, phase1, start, block, banned, iteration, opts);
+            let found = self.price_block(y, phase1, start, block, banned, iteration);
             *cursor = (start + block) % total;
             scanned += block;
             if let Some((_, j, d)) = found {
@@ -1588,7 +1467,6 @@ impl SimplexSolver {
         phase1: bool,
         banned: &[u64],
         iteration: u64,
-        opts: &SimplexOptions,
     ) -> Option<(f64, f64, usize)> {
         let st = self.vstat[j];
         // Fixed (lo == hi) columns are skipped: their value is forced,
@@ -1612,7 +1490,7 @@ impl SimplexSolver {
             // columns only; a basic column here is a corrupt basis.
             VStat::Basic => unreachable!(),
         };
-        (viol > opts.dual_tol).then_some((viol, d, j))
+        (viol > DUAL_TOL).then_some((viol, d, j))
     }
 
     /// Scans one pricing block of `len` scan offsets starting at
@@ -1620,7 +1498,6 @@ impl SimplexSolver {
     /// `(scan offset, column, reduced cost)` — maximum violation,
     /// smallest offset on ties. Splits the block across the current
     /// pool when it is large enough to amortise the spawn cost.
-    #[allow(clippy::too_many_arguments)]
     fn price_block(
         &self,
         y: &[f64],
@@ -1629,7 +1506,6 @@ impl SimplexSolver {
         len: usize,
         banned: &[u64],
         iteration: u64,
-        opts: &SimplexOptions,
     ) -> Option<(usize, usize, f64)> {
         let total = self.n + self.m;
         // Sequential scan of a contiguous offset range, first max wins.
@@ -1637,7 +1513,7 @@ impl SimplexSolver {
             let mut best: Option<(f64, usize, usize, f64)> = None; // (viol, k, j, d)
             for k in lo..hi {
                 let j = (start + k) % total;
-                if let Some((viol, d, _)) = self.price_col(j, y, phase1, banned, iteration, opts) {
+                if let Some((viol, d, _)) = self.price_col(j, y, phase1, banned, iteration) {
                     if best.is_none_or(|(s, _, _, _)| viol > s) {
                         best = Some((viol, k, j, d));
                     }

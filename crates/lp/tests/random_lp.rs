@@ -111,27 +111,86 @@ fn presolve_preserves_objectives() {
     }
 }
 
+/// Columns scanned per pricing block (the engine's partial-pricing
+/// window).
+const PRICING_BLOCK: usize = 16_384;
+/// The engine's parallel work gate: nonzeros plus rows.
+const PAR_MIN_WORK: usize = 1 << 18;
+
+/// A wide, dense-column LP past both parallel gates: `n` boxed columns
+/// with `per_col` positive entries each, in `m` rows that a witness
+/// point satisfies. Every sixteenth row is a `≥ 1` row, so the
+/// all-slack start is infeasible and a short phase 1 runs before Devex
+/// phase 2.
+fn wide_lp(rng: &mut StdRng, n: usize, m: usize, per_col: usize) -> SparseLp {
+    let mut lp = SparseLp::new();
+    let mut rows: Vec<Vec<(u32, f64)>> = vec![Vec::new(); m];
+    let mut witness_lhs = vec![0.0f64; m];
+    for j in 0..n {
+        lp.add_col(rng.gen_range(-1.0..1.0), 0.0, 1.0);
+        let x = rng.gen_range(0.0..1.0);
+        let mut picked: Vec<usize> = Vec::with_capacity(per_col);
+        while picked.len() < per_col {
+            let r = rng.gen_range(0..m);
+            if !picked.contains(&r) {
+                picked.push(r);
+            }
+        }
+        for r in picked {
+            let a = rng.gen_range(0.1..1.0);
+            rows[r].push((j as u32, a));
+            witness_lhs[r] += a * x;
+        }
+    }
+    for (r, terms) in rows.into_iter().enumerate() {
+        let lhs = witness_lhs[r];
+        if r % 16 == 0 {
+            lp.add_row(terms, RowCmp::Ge, lhs.min(1.0));
+        } else {
+            lp.add_row(terms, RowCmp::Le, lhs + rng.gen_range(0.0..1.0));
+        }
+    }
+    lp
+}
+
 #[test]
 fn parallel_pricing_is_bit_identical() {
-    // A model wide enough to cross the parallel-pricing threshold
-    // (n + m ≥ 4096 columns per block) must solve to bit-identical
-    // results on 1-thread and 4-thread pools: same pivot sequence,
-    // same iteration count, same objective bits. This is the
-    // determinism contract of docs/CONCURRENCY.md at the LP layer.
+    // A model past both parallel gates — nonzeros + rows ≥ the work
+    // budget (the Devex update sweep splits) and a work-derived column
+    // gate within one pricing block (the phase-1 block scan splits) —
+    // must solve to bit-identical results on 1-thread and 4-thread
+    // pools: same pivot sequence, counters, objective bits and point.
+    // This is the determinism contract of docs/CONCURRENCY.md at the
+    // LP layer. The pivot cap keeps the debug-build run short.
     let mut rng = StdRng::seed_from_u64(90_210);
-    let (lp, _) = random_feasible_lp(&mut rng, 4500, 300);
+    let (n, m) = (PRICING_BLOCK, 256);
+    let lp = wide_lp(&mut rng, n, m, 20);
+    let nnz: usize = (0..m).map(|i| lp.row(i).terms.len()).sum();
+    assert!(nnz + m >= PAR_MIN_WORK, "work {} below the gate", nnz + m);
+    let gate = SimplexSolver::new(&lp).par_gate_cols();
+    assert!(
+        gate <= PRICING_BLOCK,
+        "column gate {gate} exceeds the pricing block: the scan stays sequential"
+    );
+    let opts = SimplexOptions {
+        max_iters: 300,
+        ..SimplexOptions::default()
+    };
     let solve_on = |threads: usize| {
         rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .unwrap()
-            .install(|| solve(&lp, &SimplexOptions::default()))
+            .install(|| solve(&lp, &opts))
     };
     let one = solve_on(1);
     let four = solve_on(4);
-    assert_eq!(one.status, LpStatus::Optimal);
+    assert!(one.stats.phase1_iters > 0, "phase 1 never priced");
+    assert!(one.stats.phase2_iters > 0, "Devex phase 2 never ran");
     assert_eq!(one.status, four.status);
     assert_eq!(one.iterations, four.iterations);
+    assert_eq!(one.stats, four.stats);
+    assert_eq!(one.basis, four.basis);
     assert_eq!(one.objective.to_bits(), four.objective.to_bits());
     for (a, b) in one.x.iter().zip(&four.x) {
         assert_eq!(a.to_bits(), b.to_bits());

@@ -192,7 +192,7 @@ fn main() {
     println!(
         "instance,family,size,size_class,cluster,scenario,deadline,\
          n_tasks,gc_nodes,asap_makespan,kind,algorithm,cost,millis,status,nodes,lower_bound,\
-         lp_iters,cuts,pricing,cache_hit,cache_warm,threads"
+         lp_iters,cuts,cache_hit,cache_warm,threads"
     );
     for r in &results {
         let prefix = format!(
@@ -212,7 +212,7 @@ fn main() {
         );
         for (i, &v) in r.variants.iter().enumerate() {
             println!(
-                "{prefix},variant,{},{},{:.4},,,,,,,,,{threads}",
+                "{prefix},variant,{},{},{:.4},,,,,,,,{threads}",
                 v.name(),
                 r.cost[i],
                 r.millis[i],
@@ -220,7 +220,7 @@ fn main() {
         }
         for row in &r.solver_rows {
             println!(
-                "{prefix},solver,{},{},{:.4},{},{},{},{},{},{},{},{},{threads}",
+                "{prefix},solver,{},{},{:.4},{},{},{},{},{},{},{},{threads}",
                 row.kind.name(),
                 row.cost.map_or_else(String::new, |c| c.to_string()),
                 row.millis,
@@ -229,7 +229,6 @@ fn main() {
                 row.lower_bound.map_or_else(String::new, |c| c.to_string()),
                 row.lp_iters,
                 row.cuts,
-                row.pricing,
                 (row.cache == CacheOutcome::Hit) as u8,
                 (row.cache == CacheOutcome::Warm) as u8,
             );

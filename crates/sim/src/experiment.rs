@@ -333,8 +333,6 @@ pub struct SolverRow {
     pub lp_iters: u64,
     /// Root cuts appended (0 for non-MILP solvers).
     pub cuts: u32,
-    /// Pricing rule of the LP engine (`"-"` for non-LP solvers).
-    pub pricing: &'static str,
     /// Where the answer came from when the grid ran with a solve cache
     /// ([`ExperimentConfig::cache`]); always [`CacheOutcome::Cold`]
     /// without one.
@@ -597,7 +595,6 @@ pub fn run_one(
                     millis,
                     lp_iters: res.stats.lp_iterations,
                     cuts: res.stats.cuts,
-                    pricing: res.stats.pricing,
                     cache,
                 }
             }
@@ -613,7 +610,6 @@ pub fn run_one(
                 millis,
                 lp_iters: 0,
                 cuts: 0,
-                pricing: "-",
                 cache: CacheOutcome::Cold,
             },
         }

@@ -28,15 +28,15 @@ use cawosched::sim::report::render_gantt;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
-        die(USAGE);
+        die(&usage());
     };
-    let opts = Options::parse(&args[1..]).unwrap_or_else(|e| die(&format!("{e}\n{USAGE}")));
+    let opts = Options::parse(&args[1..]).unwrap_or_else(|e| die(&format!("{e}\n{}", usage())));
     init_obs(&opts);
     match cmd.as_str() {
         "generate" => generate_cmd(&opts),
         "schedule" => with_pool(&opts, || schedule_cmd(&opts)),
         "evaluate" => with_pool(&opts, || evaluate_cmd(&opts)),
-        other => die(&format!("unknown command `{other}`\n{USAGE}")),
+        other => die(&format!("unknown command `{other}`\n{}", usage())),
     }
     report_obs(&opts);
 }
@@ -89,10 +89,15 @@ fn with_pool(o: &Options, f: impl FnOnce() + Send) {
     }
 }
 
-const USAGE: &str = "usage:
+/// The usage text; the solver list is read from the registry so it
+/// cannot drift from what `--solver` accepts.
+fn usage() -> String {
+    let solvers = SolverKind::ALL.map(|k| k.name()).join("|");
+    format!(
+        "usage:
   cawosched generate --family <atacseq|bacass|eager|methylseq> [--tasks N] [--seed N]
   cawosched schedule [--dot FILE|-] [--json FILE] [--variant NAME]
-                     [--solver bnb|dp|dp-pseudo|eschedule|ilp|milp|lp|milp-dense|lp-dense]
+                     [--solver {solvers}]
                      [--solver-budget SPEC] [--scenario S1..S4] [--trace CSV]
                      [--deadline 1|1.5|2|3] [--cluster tiny|small|large]
                      [--engine dense|interval|fenwick] [--seed N]
@@ -121,7 +126,9 @@ const USAGE: &str = "usage:
   --obs-out writes the JSONL event trace (see docs/OBSERVABILITY.md;
   obs_check validates it and converts it to a Chrome trace);
   --log-level (or the CAWO_LOG env var) sets the recording level
-  explicitly.";
+  explicitly."
+    )
+}
 
 #[allow(clippy::exit)] // a CLI's usage/error path legitimately exits
 fn die(msg: &str) -> ! {

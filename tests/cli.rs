@@ -304,6 +304,7 @@ fn bad_arguments_fail_cleanly() {
         vec!["schedule", "--engine", "nope"],
         vec!["schedule", "--solver", "gurobi"],
         vec!["schedule", "--solver", "bnb,dp"],
+        vec!["schedule", "--solver", "milp-dense"],
         vec!["schedule", "--solver-budget", "fast"],
         vec!["schedule", "--solver-budget", "-1s"],
         vec!["schedule", "--trace", "/nonexistent/trace.csv"],
