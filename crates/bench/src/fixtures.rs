@@ -1,48 +1,17 @@
-//! Instance construction shared by every bench target.
+//! Instance construction shared by the bench sections.
 
 use cawo_core::enhanced::UnitInfo;
 use cawo_core::{Instance, Schedule};
 use cawo_graph::dag::DagBuilder;
-use cawo_graph::generator::{generate, Family, GeneratorConfig};
-use cawo_heft::heft_schedule;
-use cawo_platform::{Cluster, DeadlineFactor, PowerProfile, ProfileConfig, Scenario, Time};
+use cawo_platform::{PowerProfile, Time};
 
-/// A fully prepared scheduling problem.
-pub struct Fixture {
-    /// The communication-enhanced instance.
-    pub inst: Instance,
-    /// The platform.
-    pub cluster: Cluster,
-    /// The power profile.
-    pub profile: PowerProfile,
-}
-
-/// Builds the standard bench fixture: a workflow of `tasks` tasks on the
-/// paper's small cluster under an S1 profile.
-pub fn fixture(family: Family, tasks: usize, deadline: DeadlineFactor, seed: u64) -> Fixture {
-    let wf = generate(&GeneratorConfig::new(family, tasks, seed));
-    let cluster = Cluster::paper_small(seed);
-    let mapping = heft_schedule(&wf, &cluster);
-    let inst = Instance::build(&wf, &cluster, &mapping);
-    let profile = ProfileConfig::new(Scenario::SolarMorning, deadline, seed)
-        .build(&cluster, inst.asap_makespan());
-    Fixture {
-        inst,
-        cluster,
-        profile,
-    }
-}
-
-/// Horizon grid shared by the `cost_engine` criterion bench and the
-/// `bench_cost` JSON emitter — one definition so the two artifacts can
-/// never desynchronise.
+/// Horizon grid of the `cost` bench section.
 pub const COST_ENGINE_HORIZONS: [Time; 3] = [1_000, 10_000, 100_000];
 
-/// Uniprocessor chain fixture for the LP-engine benches (`lp_engine`
-/// criterion bench, `bench_lp` emitter — one definition so the two
-/// artifacts measure identical instances): `n` chained tasks with
-/// cyclic execution times `2, 3, 4, …` on one unit, and a profile of
-/// `intervals` equal slices cycling through `budget_cycle`.
+/// Uniprocessor chain fixture of the `lp` and `obs` bench sections:
+/// `n` chained tasks with cyclic execution times `2, 3, 4, …` on one
+/// unit, and a profile of `intervals` equal slices cycling through
+/// `budget_cycle`.
 pub fn lp_chain_fixture(
     n: usize,
     slack: Time,
@@ -122,7 +91,7 @@ pub fn horizon_fixture(horizon: Time, n_tasks: usize) -> (Instance, Schedule, Po
     (inst, sched, PowerProfile::from_parts(boundaries, budgets))
 }
 
-/// Horizon grid shared by the exact-solver benches (`bench_exact`).
+/// Horizon grid of the `exact` bench section.
 /// Kept below the cost-engine horizons: the *dense* baseline that the
 /// comparison quantifies re-prices `O(horizon)` per candidate, and the
 /// branch-and-bound evaluates `O(horizon)` candidates per search node.
@@ -184,14 +153,4 @@ pub fn misaligned_chain_schedule(inst: &Instance, horizon: Time) -> Schedule {
     let sched = Schedule::new(starts);
     assert!(sched.validate(inst, horizon).is_ok());
     sched
-}
-
-/// Workflow sizes for the large-workflow bench; override the default
-/// with `CAWO_BENCH_SIZES="8000,20000"` to reproduce the paper-scale
-/// Fig. 12 measurement.
-pub fn large_sizes() -> Vec<usize> {
-    match std::env::var("CAWO_BENCH_SIZES") {
-        Ok(s) => s.split(',').filter_map(|x| x.trim().parse().ok()).collect(),
-        Err(_) => vec![2_000, 4_000],
-    }
 }

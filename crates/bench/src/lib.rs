@@ -1,26 +1,20 @@
-//! Shared fixtures for the CaWoSched criterion benches.
+//! Benchmark support for CaWoSched: the `bench` binary regenerates the
+//! committed `BENCH_*.json` artifacts, one section per artifact.
 //!
-//! The benches regenerate the paper's timing artifacts:
+//! | section | artifact            | measures                                        |
+//! |---------|---------------------|-------------------------------------------------|
+//! | `cost`  | `BENCH_cost.json`   | dense vs interval cost engine over the horizon  |
+//! | `exact` | `BENCH_exact.json`  | exact solvers per cost engine, parallel B&B     |
+//! | `lp`    | `BENCH_lp.json`     | LP engine ladder, headline, threads, warm       |
+//! | `warm`  | `BENCH_warm.json`   | solve-cache hits, warm re-solves, re-answers    |
+//! | `obs`   | `BENCH_obs.json`    | observability overhead and solve traces         |
 //!
-//! | bench               | paper artifact                             |
-//! |---------------------|--------------------------------------------|
-//! | `runtime`           | Fig. 8 — time per algorithm variant        |
-//! | `runtime_large`     | Fig. 12 — large workflows only             |
-//! | `deadline_tolerance`| Fig. 13 — time vs deadline factor          |
-//! | `components`        | engine micro-benchmarks (not in the paper) |
-//! | `ablation`          | parameter ablations (µ, k, refine cap)     |
-//! | `cost_engine`       | dense vs interval cost engine over horizon |
-//! | `lp_engine`         | sparse LP engine on the compact A.4 model  |
+//! ```text
+//! cargo run --release -p cawo_bench --bin bench [-- SECTION...]
+//! ```
 //!
-//! Five binaries emit machine-readable artifacts outside the criterion
-//! harness, each into the current directory:
-//!
-//! | binary        | artifact            | measures                                   |
-//! |---------------|---------------------|--------------------------------------------|
-//! | `bench_cost`  | `BENCH_cost.json`   | the `cost_engine` grid                     |
-//! | `bench_exact` | `BENCH_exact.json`  | exact solvers and their cost engines       |
-//! | `bench_lp`    | `BENCH_lp.json`     | LP engine ladders, headline, threads, warm |
-//! | `bench_warm`  | `BENCH_warm.json`   | warm-path cache hits and re-answers        |
-//! | `bench_obs`   | `BENCH_obs.json`    | observability overhead and solve traces    |
+//! [`report`] holds the schema and timing discipline every section
+//! shares; [`fixtures`] the instances they measure.
 
 pub mod fixtures;
+pub mod report;

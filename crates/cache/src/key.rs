@@ -141,14 +141,7 @@ pub fn absorb_profile(h: &mut KeyHasher, profile: &PowerProfile) {
     }
 }
 
-/// Fingerprint of a profile alone (used by the profile interner).
-pub fn profile_fingerprint(profile: &PowerProfile) -> u128 {
-    let mut h = KeyHasher::new();
-    absorb_profile(&mut h, profile);
-    h.finish128()
-}
-
-/// Fingerprint of an instance alone (used by the instance interner).
+/// Fingerprint of an instance alone.
 pub fn instance_fingerprint(inst: &Instance) -> u128 {
     let mut h = KeyHasher::new();
     absorb_instance(&mut h, inst);
@@ -226,13 +219,18 @@ mod tests {
     }
 
     #[test]
-    fn profile_fingerprint_tracks_content() {
+    fn profile_absorption_tracks_content() {
+        let fp = |p: &PowerProfile| {
+            let mut h = KeyHasher::new();
+            absorb_profile(&mut h, p);
+            h.finish128()
+        };
         let a = PowerProfile::from_parts(vec![0, 4, 8], vec![10, 6]);
         let b = PowerProfile::from_parts(vec![0, 4, 8], vec![10, 6]);
         let c = PowerProfile::from_parts(vec![0, 4, 8], vec![10, 7]);
         let d = PowerProfile::from_parts(vec![0, 5, 8], vec![10, 6]);
-        assert_eq!(profile_fingerprint(&a), profile_fingerprint(&b));
-        assert_ne!(profile_fingerprint(&a), profile_fingerprint(&c));
-        assert_ne!(profile_fingerprint(&a), profile_fingerprint(&d));
+        assert_eq!(fp(&a), fp(&b));
+        assert_ne!(fp(&a), fp(&c));
+        assert_ne!(fp(&a), fp(&d));
     }
 }

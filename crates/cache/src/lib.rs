@@ -8,16 +8,10 @@
 //! * [`store`] — the [`SolveCache`]: exact-key hits, warm-state
 //!   re-solves (cached incumbent + root LP basis through
 //!   [`cawo_exact::WarmStart`]) and incremental trace-tail re-answers
-//!   ([`cawo_core::reanswer_cost`]),
-//! * [`intern`] — content-keyed interners handing out
-//!   reference-counted instances and compiled profiles, so building
-//!   the Nth instance against the same cluster+trace allocates almost
-//!   nothing.
+//!   ([`cawo_core::reanswer_cost`]).
 
-pub mod intern;
 pub mod key;
 pub mod store;
 
-pub use intern::{InstancePool, Interner};
-pub use key::{instance_fingerprint, profile_fingerprint, query_key, ContentKey, KeyHasher};
+pub use key::{instance_fingerprint, query_key, ContentKey, KeyHasher};
 pub use store::{CacheOutcome, CacheStats, EvalAnswer, SolveCache};

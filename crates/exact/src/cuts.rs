@@ -362,7 +362,7 @@ pub fn root_cut_loop(
     let mut stalled = 0u32;
     // The root bound is the solver's global dual bound until branching
     // proves more; sampling it per cut round yields the bound-vs-time
-    // convergence series (`bench_obs`, `--obs-out`).
+    // convergence series (the `obs` bench section, `--obs-out`).
     cawo_obs::sample("milp", "dual_bound", root.objective);
     for _ in 0..MAX_ROUNDS {
         let mut cuts: Vec<Cut> = Vec::new();

@@ -23,7 +23,7 @@
 //! single relaxed atomic load. At [`Level::Off`] (the default) every
 //! entry point returns after that load — no timestamp is taken, no
 //! thread-local is touched — so instrumented hot paths run within
-//! noise of uninstrumented ones (the `bench_obs` bin asserts the
+//! noise of uninstrumented ones (the `obs` bench section asserts the
 //! enabled-summary/disabled ratio stays under 1.05× on the 100-task
 //! LP model; see `docs/OBSERVABILITY.md` for the full contract).
 //! [`Level::Summary`] activates counters and span histograms;

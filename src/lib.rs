@@ -18,12 +18,11 @@
 //! * [`exact`] — exact optimality references behind the unified
 //!   `Solver` trait: uniprocessor dynamic programs, the time-indexed
 //!   ILP model, branch-and-bound, the compact sparse A.4 model on
-//!   [`lp`], the dense simplex/MILP oracles and the E-schedule
-//!   normalisation, each selectable via `SolverKind`.
+//!   [`lp`] and the E-schedule normalisation, each selectable via
+//!   `SolverKind`.
 //! * [`cache`] — the warm-path serving layer: content-addressed solve
 //!   cache (exact-key hits, warm-state re-solves, incremental
-//!   trace-tail re-answers) and content-keyed interners for instances
-//!   and compiled profiles.
+//!   trace-tail re-answers).
 //! * [`sim`] — the experiment harness reproducing every table and figure
 //!   of the paper's evaluation.
 //!
@@ -60,7 +59,7 @@ pub use cawo_sim as sim;
 
 /// Most-used items in one import.
 pub mod prelude {
-    pub use cawo_cache::{CacheOutcome, InstancePool, SolveCache};
+    pub use cawo_cache::{CacheOutcome, SolveCache};
     pub use cawo_core::{carbon_cost, Cost, EngineKind, Instance, RunParams, Schedule, Variant};
     pub use cawo_exact::{Budget, SolveStatus, Solver, SolverKind};
     pub use cawo_graph::generator::{generate, Family, GeneratorConfig};
