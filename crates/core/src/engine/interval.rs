@@ -26,7 +26,9 @@ use super::CostEngine;
 /// * [`CostEngine::total_cost`]: `O(N + J)`,
 /// * [`CostEngine::shift_delta`] / [`CostEngine::apply_shift`]:
 ///   `O(log N + k)` where `k` is the number of breakpoints and interval
-///   boundaries inside the move's symmetric difference.
+///   boundaries inside the move's symmetric difference,
+/// * [`CostEngine::shift_scan`] over `m` candidate starts: one sweep,
+///   `O(log N + k + m)` where `k` counts the pieces of the swept range.
 ///
 /// This is the incremental counterpart of Appendix A.1's polynomial
 /// sweep and the engine that keeps 100k-unit horizons and
@@ -233,6 +235,87 @@ impl CostEngine for IntervalEngine {
 
     fn horizon(&self) -> Time {
         self.horizon
+    }
+
+    /// One sweep over `[min(lo, start), max(hi, start) + len)` instead
+    /// of two [`CostEngine::place_delta`] walks per candidate.
+    ///
+    /// With `L'` the working power without the task itself and `d` the
+    /// headroom, placing the task over `[c, c + len)` costs
+    /// `Σ f(t)` there, where `f(t) = max(L'(t) + w − d, 0) −
+    /// max(L'(t) − d, 0)`. The sweep walks the pieces of `f` once and
+    /// reads each delta off the prefix sums `P` of `f` as
+    /// `(P(c + len) − P(c)) − (P(start + len) − P(start))`, with one
+    /// cursor over the window heads `c` and one over the tails
+    /// `c + len`. Every term is an integer, so each entry equals the
+    /// pointwise [`CostEngine::shift_delta`] exactly.
+    fn shift_scan(&self, start: Time, len: Time, w: i64, lo: Time, hi: Time, out: &mut Vec<i64>) {
+        cawo_obs::inc(cawo_obs::Ctr::EnginePriceInterval);
+        out.clear();
+        if hi < lo {
+            return;
+        }
+        out.resize((hi - lo + 1) as usize, 0);
+        if w == 0 || len == 0 {
+            return;
+        }
+        let own_end = start + len;
+        let (a, b) = (lo.min(start), hi.max(start) + len);
+        assert!(b <= self.horizon, "shift target exceeds profile horizon");
+        // `p` is P(t) − P(a); `own` collects P(own_end) − P(start).
+        let (mut p, mut own) = (0i64, 0i64);
+        let (mut head, mut tail) = (lo, lo);
+        let mut t = a;
+        let mut level = self.level_at(a);
+        let mut segs = self.work.range((Excluded(a), Excluded(b))).peekable();
+        let mut j = self.interval_index(a);
+        while t < b {
+            let next_seg = segs.peek().map_or(Time::MAX, |(&k, _)| k);
+            let next_bound = self.boundaries[j + 1];
+            let inside = start <= t && t < own_end;
+            // The task's own edges cut pieces too, so `inside` holds
+            // for the whole piece.
+            let next_edge = if t < start {
+                start
+            } else if inside {
+                own_end
+            } else {
+                Time::MAX
+            };
+            let next = next_seg.min(next_bound).min(next_edge).min(b);
+            let rest = if inside { level - w } else { level };
+            let d = self.headroom[j];
+            let f = (rest + w - d).max(0) - (rest - d).max(0);
+            while head <= hi && head < next {
+                out[(head - lo) as usize] -= p + f * (head - t) as i64;
+                head += 1;
+            }
+            while tail <= hi && tail + len < next {
+                out[(tail - lo) as usize] += p + f * (tail + len - t) as i64;
+                tail += 1;
+            }
+            let piece = f * (next - t) as i64;
+            p += piece;
+            if inside {
+                own += piece;
+            }
+            if next == next_seg {
+                // cawo-lint: allow(panic-path) — `next == next_seg`
+                // implies the peeked entry exists.
+                level = *segs.next().expect("peeked").1;
+            }
+            if next == next_bound && j + 1 < self.headroom.len() {
+                j += 1;
+            }
+            t = next;
+        }
+        // Tails that end exactly at `b` read P(b).
+        for c in tail..=hi {
+            out[(c - lo) as usize] += p;
+        }
+        for delta in out.iter_mut() {
+            *delta -= own;
+        }
     }
 }
 

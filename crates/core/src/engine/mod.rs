@@ -54,14 +54,17 @@ pub use reanswer::{profile_divergence, reanswer_cost, repair_for_deadline};
 ///   power) without mutating state,
 /// * [`CostEngine::shift_delta`] returns the exact cost change of
 ///   moving one task (negative = improvement) without mutating state,
+///   and [`CostEngine::shift_scan`] returns it for a whole window of
+///   candidate starts,
 /// * [`CostEngine::apply_place`] / [`CostEngine::apply_shift`] commit a
 ///   previously evaluated change.
 ///
 /// Only the *placement* primitives are backend-specific; the shift
 /// operations have default implementations over the symmetric
-/// difference of the old and new execution windows. Exact solvers
-/// (branch-and-bound placement, E-schedule block shifts) drive the
-/// placement API directly; the local search uses the shift API.
+/// difference of the old and new execution windows, and
+/// [`IntervalEngine`] overrides the window scan with one sweep. Exact
+/// solvers (branch-and-bound placement, E-schedule block shifts) drive
+/// the placement API directly; the local search uses the shift API.
 pub trait CostEngine {
     /// Engine label used by CLIs, reports and benches.
     const NAME: &'static str;
@@ -116,6 +119,20 @@ pub trait CostEngine {
             }
         }
         delta
+    }
+
+    /// [`CostEngine::shift_delta`] of every candidate start `c` in
+    /// `[lo, hi]`, written to `out[c - lo]` (`out` is cleared first and
+    /// left empty when `hi < lo`). The current start need not lie in
+    /// the window. Does not mutate state.
+    ///
+    /// This is the local search's pricing call: one per task visit. The
+    /// default prices each candidate on its own; a backend may override
+    /// it with a single sweep, but every entry must stay exactly the
+    /// pointwise delta.
+    fn shift_scan(&self, start: Time, len: Time, w: i64, lo: Time, hi: Time, out: &mut Vec<i64>) {
+        out.clear();
+        out.extend((lo..=hi).map(|c| self.shift_delta(start, len, w, c)));
     }
 
     /// Applies the move evaluated by [`CostEngine::shift_delta`].

@@ -14,11 +14,14 @@
 //! task's `Gc` neighbours (which include its unit-order neighbours), so
 //! the feasible window is `[max preds finish, min succs start - ω(v)]`
 //! clipped to the horizon. Gains are evaluated incrementally through a
-//! [`CostEngine`]: candidate shifts are priced via
-//! [`CostEngine::shift_delta`] without cloning or re-costing the
-//! schedule, and the search is generic over the backend — the
-//! interval-sparse [`IntervalEngine`] by default, the dense oracle on
-//! request.
+//! [`CostEngine`], without cloning or re-costing the schedule: each task
+//! visit prices its whole window of candidate starts with one
+//! [`CostEngine::shift_scan`] call, and the acceptance policy reads the
+//! deltas in start order. On the default interval-sparse
+//! [`IntervalEngine`] that is a single sweep over the window; the other
+//! backends (the dense oracle, Fenwick) price each candidate with
+//! [`CostEngine::shift_delta`]. Every backend returns the same exact
+//! deltas, so the moves do not depend on the engine.
 
 use cawo_platform::{PowerProfile, Time};
 
@@ -41,7 +44,7 @@ pub struct LocalSearchStats {
 /// that checking "all legal moves and applying the best one" did not
 /// significantly improve the outcome in preliminary experiments — both
 /// are provided so that claim can be re-examined (`figures`' `ext-ls`
-/// artifact and the `ablation` bench).
+/// artifact).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LsPolicy {
     /// Apply the earliest candidate with positive gain (paper default).
@@ -109,6 +112,9 @@ pub fn local_search_on_engine<E: CostEngine>(
     units.sort_by_key(|&u| (std::cmp::Reverse(inst.unit(u).p_work), u));
 
     let mut stats = LocalSearchStats::default();
+    // Deltas of the current task's candidate starts, reused by every
+    // visit.
+    let mut deltas = Vec::new();
     loop {
         stats.rounds += 1;
         let mut round_gain = 0i64;
@@ -139,27 +145,24 @@ pub fn local_search_on_engine<E: CostEngine>(
                 let latest = latest_by_succ.min(deadline - len);
                 let lo = earliest.max(s.saturating_sub(mu));
                 let hi = latest.min(s + mu);
-                // Earliest-to-latest; acceptance per policy.
+                // Earliest-to-latest; acceptance per policy. Staying at
+                // `s` prices 0, so it is never chosen.
+                engine.shift_scan(s, len, w, lo, hi, &mut deltas);
                 let mut chosen: Option<(Time, i64)> = None;
-                let mut cand = lo;
-                while cand <= hi {
-                    if cand != s {
-                        let delta = engine.shift_delta(s, len, w, cand);
-                        if delta < 0 {
-                            match policy {
-                                LsPolicy::FirstImprovement => {
+                for (cand, &delta) in (lo..).zip(&deltas) {
+                    if delta < 0 {
+                        match policy {
+                            LsPolicy::FirstImprovement => {
+                                chosen = Some((cand, delta));
+                                break;
+                            }
+                            LsPolicy::BestImprovement => {
+                                if chosen.is_none_or(|(_, best)| delta < best) {
                                     chosen = Some((cand, delta));
-                                    break;
-                                }
-                                LsPolicy::BestImprovement => {
-                                    if chosen.is_none_or(|(_, best)| delta < best) {
-                                        chosen = Some((cand, delta));
-                                    }
                                 }
                             }
                         }
                     }
-                    cand += 1;
                 }
                 if let Some((target, delta)) = chosen {
                     engine.apply_shift(s, len, w, target);

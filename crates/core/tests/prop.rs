@@ -9,8 +9,8 @@ use proptest::prelude::*;
 
 use cawo_core::enhanced::UnitInfo;
 use cawo_core::{
-    carbon_cost, carbon_cost_naive, local_search, Bounds, CostEngine, DenseGrid, Instance,
-    IntervalEngine, Schedule, Variant,
+    carbon_cost, carbon_cost_naive, local_search, Bounds, CostEngine, DenseGrid, FenwickEngine,
+    Instance, IntervalEngine, Schedule, Variant,
 };
 use cawo_graph::dag::DagBuilder;
 use cawo_graph::NodeId;
@@ -50,6 +50,21 @@ impl RawInstance {
             0,
         )
     }
+}
+
+/// `engine.shift_scan` over `[lo, hi]`, and `engine.shift_delta` at
+/// each of its candidate starts.
+fn scan_and_pointwise<E: CostEngine>(
+    engine: &E,
+    (start, len, w): (Time, Time, i64),
+    (lo, hi): (Time, Time),
+) -> (Vec<i64>, Vec<i64>) {
+    let mut scan = Vec::new();
+    engine.shift_scan(start, len, w, lo, hi, &mut scan);
+    let pointwise = (lo..=hi)
+        .map(|c| engine.shift_delta(start, len, w, c))
+        .collect();
+    (scan, pointwise)
 }
 
 fn raw_instance(max_n: usize) -> impl Strategy<Value = RawInstance> {
@@ -200,6 +215,97 @@ proptest! {
             prop_assert_eq!(dense.total_cost(), sweep);
             prop_assert_eq!(sparse.total_cost(), sweep);
         }
+    }
+
+    // The window scan the local search drives: on every engine, along a
+    // random walk of applied shifts, `shift_scan` must equal pointwise
+    // `shift_delta` at each candidate start (and the dense oracle's) —
+    // for windows ending at the horizon, straddling profile boundaries,
+    // overlapping the task's own window, not containing the current
+    // start, empty, and for zero-power tasks.
+    #[test]
+    fn shift_scan_matches_pointwise_shift_delta(
+        raw in raw_instance(9),
+        budgets in proptest::collection::vec(0u64..25, 2..6),
+        zero_power in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let mut raw = raw.clone();
+        if zero_power {
+            raw.units[0].1 = 0;
+        }
+        let inst = raw.build();
+        let asap = inst.asap_schedule();
+        let horizon = asap.makespan(&inst) * 2 + budgets.len() as u64 + 1;
+        let mut state = seed;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let j = budgets.len() as u64;
+        let mut bounds = vec![0 as Time];
+        for k in 1..=j {
+            let t = horizon * k / j;
+            if t > *bounds.last().unwrap() {
+                bounds.push(t);
+            }
+        }
+        let interior = bounds[1..bounds.len() - 1].to_vec();
+        let m = bounds.len() - 1;
+        let profile = PowerProfile::from_parts(bounds, budgets[..m].to_vec());
+
+        let delay = next() % (horizon - asap.makespan(&inst).max(1) + 1);
+        let mut sched = Schedule::new(asap.starts().iter().map(|&s| s + delay).collect());
+        let mut dense = DenseGrid::build(&inst, &sched, &profile);
+        let mut interval = IntervalEngine::build(&inst, &sched, &profile);
+        let mut fenwick = FenwickEngine::build(&inst, &sched, &profile);
+
+        let n = inst.node_count() as u64;
+        for _ in 0..12 {
+            let v = (next() % n) as NodeId;
+            let len = inst.exec(v);
+            let w = inst.work_power(v) as i64;
+            let s = sched.start(v);
+            let last = horizon - len;
+            // Half-widths below and above `len`: candidate windows that
+            // overlap the current one and windows that clear it.
+            let k = next() % (2 * len + 4);
+            let around = |c: Time| (c.saturating_sub(k), (c + k).min(last));
+            let mut windows = vec![
+                (last.saturating_sub(k), last),
+                around(s),
+                around(next() % (last + 1)),
+                (s + 1, s),
+            ];
+            windows.extend(interior.iter().map(|&b| around(b.min(last))));
+            if s < last {
+                let lo = s + 1 + next() % (last - s);
+                windows.push((lo, (lo + k).min(last)));
+            }
+            if s > 0 {
+                let hi = next() % s;
+                windows.push((hi.saturating_sub(k), hi));
+            }
+            for window in windows {
+                let task = (s, len, w);
+                let (scan, oracle) = scan_and_pointwise(&dense, task, window);
+                prop_assert_eq!(&scan, &oracle, "dense {:?} of {:?}", window, task);
+                let (scan, pointwise) = scan_and_pointwise(&interval, task, window);
+                prop_assert_eq!(&scan, &pointwise, "interval {:?} of {:?}", window, task);
+                prop_assert_eq!(&pointwise, &oracle, "interval {:?} of {:?}", window, task);
+                let (scan, pointwise) = scan_and_pointwise(&fenwick, task, window);
+                prop_assert_eq!(&scan, &pointwise, "fenwick {:?} of {:?}", window, task);
+                prop_assert_eq!(&pointwise, &oracle, "fenwick {:?} of {:?}", window, task);
+            }
+            let ns = next() % (last + 1);
+            dense.apply_shift(s, len, w, ns);
+            interval.apply_shift(s, len, w, ns);
+            fenwick.apply_shift(s, len, w, ns);
+            sched.set_start(v, ns);
+        }
+        prop_assert_eq!(interval.total_cost(), carbon_cost(&inst, &sched, &profile));
     }
 
     #[test]

@@ -224,7 +224,8 @@ pub enum Ctr {
     CutsMir,
     /// `place_delta` pricing calls answered by `DenseGrid`.
     EnginePriceDense,
-    /// `place_delta` pricing calls answered by `IntervalEngine`.
+    /// `place_delta` pricing calls answered by `IntervalEngine`, plus
+    /// one per `shift_scan` window sweep (not one per candidate).
     EnginePriceInterval,
     /// `place_delta` pricing calls answered by `FenwickEngine`.
     EnginePriceFenwick,

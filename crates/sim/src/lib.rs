@@ -27,6 +27,5 @@ pub use experiment::{
     SolverRow, SolverRowStatus, SpecResult, TraceScenario,
 };
 pub use metrics::{
-    boxplot, competition_ranks, cost_mismatches, cost_ratios_vs, median, performance_profile,
-    BoxplotStats,
+    boxplot, competition_ranks, cost_ratios_vs, median, performance_profile, BoxplotStats,
 };

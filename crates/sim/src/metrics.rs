@@ -191,18 +191,6 @@ pub fn default_taus() -> Vec<f64> {
     (0..=20).map(|i| i as f64 / 20.0).collect()
 }
 
-/// Positions at which two per-variant cost vectors disagree.
-///
-/// Used by the engine-parity checks: the dense and interval cost
-/// engines must produce *identical* costs for every variant, so a
-/// non-empty result is a bug report, with indices into the variant
-/// list. Panics if the vectors have different lengths (that is a
-/// harness bug, not a measurement).
-pub fn cost_mismatches(a: &[Cost], b: &[Cost]) -> Vec<usize> {
-    assert_eq!(a.len(), b.len(), "cost vectors cover the same variants");
-    (0..a.len()).filter(|&i| a[i] != b[i]).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,19 +286,6 @@ mod tests {
     fn mean_and_empty() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), Some(2.0));
         assert_eq!(mean(&[]), None);
-    }
-
-    #[test]
-    fn cost_mismatch_positions() {
-        assert_eq!(cost_mismatches(&[1, 2, 3], &[1, 2, 3]), Vec::<usize>::new());
-        assert_eq!(cost_mismatches(&[1, 5, 3, 9], &[1, 2, 3, 8]), vec![1, 3]);
-        assert_eq!(cost_mismatches(&[], &[]), Vec::<usize>::new());
-    }
-
-    #[test]
-    #[should_panic(expected = "same variants")]
-    fn cost_mismatch_length_guard() {
-        let _ = cost_mismatches(&[1], &[1, 2]);
     }
 
     #[test]

@@ -1,17 +1,20 @@
 //! Engine parity on the paper grid: the dense (pseudo-polynomial
-//! oracle) and interval-sparse cost engines must produce *identical*
-//! carbon costs for all 16 CaWoSched variants plus the ASAP baseline on
-//! the paper's small platform, across every scenario shape.
+//! oracle), interval-sparse and Fenwick cost engines must produce
+//! *identical schedules* — not merely equal costs — for all 16
+//! CaWoSched variants plus the ASAP baseline on the paper's small
+//! platform, across every scenario shape. Every engine prices each
+//! local-search candidate exactly, so the hill climber must take the
+//! same moves whichever engine (and whichever window-scan
+//! implementation) drives it.
 
-use cawo_core::EngineKind;
+use cawo_core::{EngineKind, RunParams};
 use cawo_graph::generator::{self, Family, PaperInstance};
 use cawo_heft::heft_schedule;
 use cawo_platform::{DeadlineFactor, Scenario};
-use cawo_sim::experiment::{run_one, ClusterKind, ExperimentConfig, GridScale, InstanceSpec};
-use cawo_sim::metrics::cost_mismatches;
+use cawo_sim::experiment::{build_profile, ClusterKind, ExperimentConfig, GridScale, InstanceSpec};
 
 #[test]
-fn dense_and_interval_engines_agree_on_the_small_paper_grid() {
+fn all_engines_produce_identical_schedules_on_the_small_paper_grid() {
     let seed = 11;
     let family = Family::Bacass;
     let wf = generator::instantiate(
@@ -25,8 +28,8 @@ fn dense_and_interval_engines_agree_on_the_small_paper_grid() {
     let mapping = heft_schedule(&wf, &cluster);
     let inst = cawo_core::Instance::build(&wf, &cluster, &mapping);
 
-    let base = ExperimentConfig::new(GridScale::Quick, seed);
-    assert_eq!(base.variants.len(), 17, "all 16 variants + ASAP");
+    let cfg = ExperimentConfig::new(GridScale::Quick, seed);
+    assert_eq!(cfg.variants.len(), 17, "all 16 variants + ASAP");
     for scenario in Scenario::ALL {
         for deadline in [DeadlineFactor::X15, DeadlineFactor::X30] {
             let spec = InstanceSpec {
@@ -36,23 +39,25 @@ fn dense_and_interval_engines_agree_on_the_small_paper_grid() {
                 scenario: scenario.into(),
                 deadline,
             };
-            let dense_cfg = ExperimentConfig {
-                engine: EngineKind::Dense,
-                ..base.clone()
-            };
-            let sparse_cfg = ExperimentConfig {
-                engine: EngineKind::Interval,
-                ..base.clone()
-            };
-            let dense = run_one(&dense_cfg, &spec, &inst, &cluster).unwrap();
-            let sparse = run_one(&sparse_cfg, &spec, &inst, &cluster).unwrap();
-            let bad = cost_mismatches(&dense.cost, &sparse.cost);
-            assert!(
-                bad.is_empty(),
-                "{}: engines disagree on {:?}",
-                spec.id(),
-                bad.iter().map(|&i| dense.variants[i]).collect::<Vec<_>>()
-            );
+            let profile = build_profile(&cfg, &spec, &cluster, inst.asap_makespan())
+                .unwrap_or_else(|e| panic!("{e}"));
+            for &v in &cfg.variants {
+                let [dense, rest @ ..] = EngineKind::ALL.map(|engine| {
+                    let params = RunParams {
+                        engine,
+                        ..RunParams::default()
+                    };
+                    v.run_with(&inst, &profile, params)
+                });
+                for (engine, sched) in EngineKind::ALL[1..].iter().zip(&rest) {
+                    assert_eq!(
+                        sched,
+                        &dense,
+                        "{} {v}: {engine} schedule differs from dense",
+                        spec.id()
+                    );
+                }
+            }
         }
     }
 }
