@@ -11,6 +11,8 @@
 //! (nonzero exit) after the artifact is written. An unknown section
 //! name exits 2.
 
+#![expect(clippy::print_stdout, clippy::print_stderr, reason = "a CLI binary")]
+
 mod cost;
 mod exact;
 mod lp;

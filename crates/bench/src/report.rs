@@ -233,6 +233,7 @@ impl Artifact {
 
 /// Seconds `f` takes, with its output.
 pub fn once<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    #[expect(clippy::disallowed_methods, reason = "timing is this crate's job")]
     let t0 = Instant::now();
     let out = f();
     (out, t0.elapsed().as_secs_f64())

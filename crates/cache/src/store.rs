@@ -92,14 +92,12 @@ struct SolveEntry {
 }
 
 /// Warm seed kept per (instance, query) across profiles: the last
-/// schedule plus the serialized root basis (see
-/// [`cawo_lp::Basis::to_bytes`] — stored as bytes so the entry is
-/// inert data, deserialised only when a re-solve wants it).
+/// schedule plus the root basis a re-solve may start from.
 #[derive(Debug, Clone)]
 struct WarmSeed {
     verify: u64,
     schedule: Schedule,
-    basis: Option<Vec<u8>>,
+    basis: Option<Basis>,
 }
 
 /// A cached evaluation: the variant's schedule and cost under the
@@ -166,6 +164,11 @@ impl SolveCache {
     /// subsequent lookup behave exactly like a primary-key collision.
     /// Test hook for the collision guard; not part of the serving API.
     #[doc(hidden)]
+    #[expect(
+        clippy::iter_over_hash_type,
+        clippy::disallowed_methods,
+        reason = "flips every entry; the visiting order cannot change the result"
+    )]
     pub fn corrupt_verify_for_tests(&self) {
         for e in self.solves.lock().expect("lock poisoned").values_mut() {
             e.verify ^= 1;
@@ -217,11 +220,12 @@ impl SolveCache {
         profile: &PowerProfile,
         budget: Budget,
     ) -> Result<(SolveResult, CacheOutcome), SolveError> {
-        let budget_tag = format!(
-            "{}/{}",
-            budget.node_limit,
-            budget.time_limit.map_or(0, |d| d.as_millis())
-        );
+        // `None` gets its own tag and limits are written in whole
+        // nanoseconds, so no time budget aliases "no time limit".
+        let budget_tag = match budget.time_limit {
+            None => format!("{}/none", budget.node_limit),
+            Some(d) => format!("{}/{}ns", budget.node_limit, d.as_nanos()),
+        };
         let query = ["solve", kind.name(), engine.name(), &budget_tag];
         let full = query_key(inst, Some(profile), &query);
         if let Some(entry) = self.verified(&self.solves, full, |e: &SolveEntry| e.verify) {
@@ -236,7 +240,7 @@ impl SolveCache {
             .verified(&self.warm_seeds, seed_key, |e: &WarmSeed| e.verify)
             .map(|seed| WarmStart {
                 incumbent: Some(seed.schedule),
-                basis: seed.basis.as_deref().and_then(Basis::from_bytes),
+                basis: seed.basis,
             });
 
         let solver = kind.build_with_engine(engine);
@@ -267,7 +271,7 @@ impl SolveCache {
             WarmSeed {
                 verify: seed_key.verify,
                 schedule: result.schedule.clone(),
-                basis: result.basis.as_ref().map(Basis::to_bytes),
+                basis: result.basis.clone(),
             },
         );
         Ok((result, outcome))

@@ -8,9 +8,7 @@
 //!   rejected by the verify signature instead of served.
 //! * Warm-started exact solves reach the same optimum as cold ones.
 
-// Test code may unwrap freely (policy: clippy.toml); integration-test
-// crates need the explicit allow because they are not cfg(test).
-#![allow(clippy::unwrap_used)]
+#![expect(clippy::unwrap_used, reason = "fixture helpers outside #[test] unwrap")]
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -164,6 +162,41 @@ fn cache_lookups_never_cross_distinct_keys() {
     }
     let stats = cache.stats();
     assert_eq!((stats.hits, stats.cold, stats.rejected), (40, 40, 0));
+}
+
+#[test]
+fn cache_lookups_never_cross_time_budget_keys() {
+    // A 500 µs cap must not be keyed like "no time limit": the capped
+    // answer may be a timeout, which the uncapped query must not be
+    // served.
+    let inst = two_unit_instance();
+    let cluster = Cluster::tiny(&[3, 5], 2);
+    let profile = ProfileConfig::new(Scenario::SolarMorning, DeadlineFactor::X20, 7)
+        .build(&cluster, inst.asap_makespan());
+    let cache = SolveCache::new();
+    let engine = EngineKind::default();
+    let capped = Budget {
+        node_limit: 200,
+        time_limit: Some(std::time::Duration::from_micros(500)),
+    };
+    let (_, o1) = cache
+        .solve(SolverKind::Milp, engine, &inst, &profile, capped)
+        .expect("capped solve");
+    assert_eq!(o1, CacheOutcome::Cold);
+    let (_, o2) = cache
+        .solve(
+            SolverKind::Milp,
+            engine,
+            &inst,
+            &profile,
+            Budget::nodes(200),
+        )
+        .expect("node-only solve");
+    assert_ne!(
+        o2,
+        CacheOutcome::Hit,
+        "node-only query served the capped answer"
+    );
 }
 
 #[test]

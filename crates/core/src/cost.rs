@@ -41,9 +41,11 @@ pub type Cost = u64;
 /// `u64` for every instance the builders accept (bounded horizon and
 /// per-unit power); a value past `u64::MAX` means instance validation
 /// is broken, which is a bug, not a recoverable solver condition.
+#[expect(
+    clippy::expect_used,
+    reason = "see above: unreachable for any instance that passed build-time validation."
+)]
 pub(crate) fn narrow_cost(cost: u128) -> Cost {
-    // cawo-lint: allow(panic-path) — see above: unreachable for any
-    // instance that passed build-time validation.
     Cost::try_from(cost).expect("carbon cost fits in u64")
 }
 
@@ -164,7 +166,7 @@ pub fn carbon_cost_naive(inst: &Instance, sched: &Schedule, profile: &PowerProfi
     let idle = inst.total_idle_power() as i64;
     let mut work = 0i64;
     let mut cost: u128 = 0;
-    #[allow(clippy::needless_range_loop)] // indices double as time units
+    #[expect(clippy::needless_range_loop, reason = "indices double as time units")]
     for t in 0..horizon {
         work += diff[t];
         let budget = if (t as Time) < deadline {

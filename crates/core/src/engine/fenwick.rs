@@ -243,9 +243,12 @@ impl FenwickEngine {
             let after = (level + delta - d).max(0);
             acc += (after - before) * (next - t) as i64;
             if next == next_seg {
-                // cawo-lint: allow(panic-path) — `next == next_seg`
-                // implies the peeked entry exists.
-                level += *segs.next().expect("peeked").1;
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`next == next_seg` implies the peeked entry exists."
+                )]
+                let seg_delta = *segs.next().expect("peeked").1;
+                level += seg_delta;
             }
             if next == next_bound && j + 1 < self.headroom.len() {
                 j += 1;
@@ -284,9 +287,12 @@ impl CostEngine for FenwickEngine {
             let over = (level - self.headroom[j]).max(0) as u128;
             cost += over * (next - t) as u128;
             if next == next_seg {
-                // cawo-lint: allow(panic-path) — `next == next_seg`
-                // implies the peeked entry exists.
-                level += *segs.next().expect("peeked").1;
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`next == next_seg` implies the peeked entry exists."
+                )]
+                let seg_delta = *segs.next().expect("peeked").1;
+                level += seg_delta;
             }
             if next == next_bound && j + 1 < self.headroom.len() {
                 j += 1;

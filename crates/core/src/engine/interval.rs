@@ -79,13 +79,15 @@ impl IntervalEngine {
     }
 
     /// Working power at time `t`.
+    #[expect(
+        clippy::expect_used,
+        reason = "the segment map is seeded with key 0 at construction and key 0 is never removed."
+    )]
     fn level_at(&self, t: Time) -> i64 {
         *self
             .work
             .range((Unbounded, Included(t)))
             .next_back()
-            // cawo-lint: allow(panic-path) — the segment map is seeded
-            // with key 0 at construction and key 0 is never removed.
             .expect("key 0 always present")
             .1
     }
@@ -111,12 +113,14 @@ impl IntervalEngine {
             return;
         }
         if let Some(&level) = self.work.get(&t) {
+            #[expect(
+                clippy::expect_used,
+                reason = "the segment map is seeded with key 0 at construction and key 0 is never removed."
+            )]
             let prev = *self
                 .work
                 .range((Unbounded, Excluded(t)))
                 .next_back()
-                // cawo-lint: allow(panic-path) — the segment map is seeded
-                // with key 0 at construction and key 0 is never removed.
                 .expect("key 0 always present")
                 .1;
             if prev == level {
@@ -163,9 +167,12 @@ impl IntervalEngine {
             let after = (level + delta - d).max(0);
             acc += (after - before) * (next - t) as i64;
             if next == next_seg {
-                // cawo-lint: allow(panic-path) — `next == next_seg`
-                // implies the peeked entry exists.
-                level = *segs.next().expect("peeked").1;
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`next == next_seg` implies the peeked entry exists."
+                )]
+                let next_level = *segs.next().expect("peeked").1;
+                level = next_level;
             }
             if next == next_bound && j + 1 < self.headroom.len() {
                 j += 1;
@@ -186,8 +193,10 @@ impl CostEngine for IntervalEngine {
     fn total_cost(&self) -> Cost {
         let mut cost: u128 = 0;
         let mut t: Time = 0;
-        // cawo-lint: allow(panic-path) — the segment map is seeded with
-        // key 0 at construction and key 0 is never removed.
+        #[expect(
+            clippy::expect_used,
+            reason = "the segment map is seeded with key 0 at construction and key 0 is never removed."
+        )]
         let mut level = *self.work.get(&0).expect("key 0 always present");
         let mut segs = self.work.range((Excluded(0), Unbounded)).peekable();
         let mut j = 0usize;
@@ -198,9 +207,12 @@ impl CostEngine for IntervalEngine {
             let over = (level - self.headroom[j]).max(0) as u128;
             cost += over * (next - t) as u128;
             if next == next_seg {
-                // cawo-lint: allow(panic-path) — `next == next_seg`
-                // implies the peeked entry exists.
-                level = *segs.next().expect("peeked").1;
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`next == next_seg` implies the peeked entry exists."
+                )]
+                let next_level = *segs.next().expect("peeked").1;
+                level = next_level;
             }
             if next == next_bound && j + 1 < self.headroom.len() {
                 j += 1;
@@ -300,9 +312,12 @@ impl CostEngine for IntervalEngine {
                 own += piece;
             }
             if next == next_seg {
-                // cawo-lint: allow(panic-path) — `next == next_seg`
-                // implies the peeked entry exists.
-                level = *segs.next().expect("peeked").1;
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`next == next_seg` implies the peeked entry exists."
+                )]
+                let next_level = *segs.next().expect("peeked").1;
+                level = next_level;
             }
             if next == next_bound && j + 1 < self.headroom.len() {
                 j += 1;

@@ -84,16 +84,14 @@ pub fn reanswer_cost(
         Some(t) => {
             let old_tail = carbon_cost_from(inst, sched, old, t);
             let new_tail = carbon_cost_from(inst, sched, new, t);
-            Some(
-                old_cost
-                    .checked_sub(old_tail)
-                    // cawo-lint: allow(panic-path) — the split identity
-                    // `total = head + tail` (see carbon_cost_from docs)
-                    // bounds the tail by the total; property-tested in
-                    // this module.
-                    .expect("suffix cost cannot exceed total cost")
-                    + new_tail,
-            )
+            #[expect(
+                clippy::expect_used,
+                reason = "the split identity `total = head + tail` (see carbon_cost_from docs) bounds the tail by the total; property-tested in this module."
+            )]
+            let old_head = old_cost
+                .checked_sub(old_tail)
+                .expect("suffix cost cannot exceed total cost");
+            Some(old_head + new_tail)
         }
     }
 }

@@ -112,8 +112,10 @@ impl Instance {
             if pu == pv {
                 builder.add_edge(u, v);
             } else {
-                // cawo-lint: allow(panic-path) — (u, v) comes from
-                // `dag0.edges()`, so the edge and its weight exist.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "(u, v) comes from `dag0.edges()`, so the edge and its weight exist."
+                )]
                 let c = wf.edge_weight_between(u, v).expect("edge exists");
                 let link = cluster.link_id(pu, pv);
                 let lu = *link_unit.entry(link).or_insert_with(|| {
@@ -155,9 +157,10 @@ impl Instance {
             if units[u].is_link {
                 order.sort_by_key(|&cn| match kind[cn as usize] {
                     NodeKind::Comm { from, to } => (mapping.seed_finish(from), from, to),
-                    // cawo-lint: allow(panic-path) — `unit_order` for a
-                    // link unit is populated exclusively with Comm nodes
-                    // in the loop above.
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "`unit_order` for a link unit is populated exclusively with Comm nodes in the loop above."
+                    )]
                     NodeKind::Task => unreachable!("links only hold comm tasks"),
                 });
                 for w in order.windows(2) {
@@ -166,14 +169,17 @@ impl Instance {
             }
         }
 
+        #[expect(
+            clippy::expect_used,
+            reason = "Gc adds edges only along precedences and per-unit seed order, both acyclic by the mapping's validity (§4); a cycle means a corrupt mapping."
+        )]
         let dag = builder
             .build()
-            // cawo-lint: allow(panic-path) — Gc adds edges only along
-            // precedences and per-unit seed order, both acyclic by the
-            // mapping's validity (§4); a cycle means a corrupt mapping.
             .expect("mapping order is consistent with precedences, so Gc is acyclic");
-        // cawo-lint: allow(panic-path) — same invariant: `build` above
-        // already proved acyclicity.
+        #[expect(
+            clippy::expect_used,
+            reason = "same invariant: `build` above already proved acyclicity."
+        )]
         let topo = dag.topological_order().expect("Gc is acyclic");
         let total_idle = cluster.total_idle_power();
         let max_unit_total_power = units.iter().map(|u| u.p_idle + u.p_work).max().unwrap_or(1);
@@ -211,10 +217,12 @@ impl Instance {
             "execution times must be positive"
         );
         let mut unit_order: Vec<Vec<NodeId>> = vec![Vec::new(); units.len()];
+        #[expect(
+            clippy::expect_used,
+            reason = "`from_raw`'s documented precondition: callers hand it an already-acyclic `Gc` dag."
+        )]
         let topo = dag
             .topological_order()
-            // cawo-lint: allow(panic-path) — `from_raw`'s documented
-            // precondition: callers hand it an already-acyclic `Gc` dag.
             .expect("raw instance must be acyclic");
         for &v in &topo {
             unit_order[unit_of[v as usize] as usize].push(v);

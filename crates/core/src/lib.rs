@@ -23,6 +23,9 @@
 //! * [`mod@local_search`] — the hill-climbing refinement (suffix `-LS`),
 //! * [`variant`] — the 16 named CaWoSched variants plus the ASAP baseline.
 
+// Solver errors are values, never aborts (docs/LINTS.md).
+#![warn(clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 pub mod bounds;
 pub mod cost;
 pub mod engine;

@@ -64,21 +64,23 @@ pub fn score_order(inst: &Instance, bounds: &Bounds, score: Score, weighted: boo
         .collect();
     let mut order: Vec<NodeId> = (0..n as NodeId).collect();
     match score {
+        #[expect(
+            clippy::expect_used,
+            reason = "score_value builds the values from finite integer bounds; NaN would silently corrupt the order, so it must fail loudly instead."
+        )]
         Score::Slack => order.sort_by(|&a, &b| {
             values[a as usize]
                 .partial_cmp(&values[b as usize])
-                // cawo-lint: allow(panic-path) — score_value builds the
-                // values from finite integer bounds; NaN would silently
-                // corrupt the order, so it must fail loudly instead.
                 .expect("scores are finite")
                 .then(a.cmp(&b))
         }),
+        #[expect(
+            clippy::expect_used,
+            reason = "score_value builds the values from finite integer bounds; NaN would silently corrupt the order, so it must fail loudly instead."
+        )]
         Score::Pressure => order.sort_by(|&a, &b| {
             values[b as usize]
                 .partial_cmp(&values[a as usize])
-                // cawo-lint: allow(panic-path) — score_value builds the
-                // values from finite integer bounds; NaN would silently
-                // corrupt the order, so it must fail loudly instead.
                 .expect("scores are finite")
                 .then(a.cmp(&b))
         }),

@@ -43,7 +43,10 @@ impl Default for RunParams {
 
 /// One of the 17 evaluated algorithms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[allow(missing_docs)] // systematic naming: score / W(eighted) / R(efined) / Ls
+#[expect(
+    missing_docs,
+    reason = "systematic naming: score / W(eighted) / R(efined) / Ls"
+)]
 pub enum Variant {
     Asap,
     Slack,

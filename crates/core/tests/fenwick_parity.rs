@@ -4,9 +4,7 @@
 //! as the [`DenseGrid`] oracle and the [`IntervalEngine`] production
 //! backend — bit-for-bit, not approximately.
 
-// Test code may unwrap freely (policy: clippy.toml); integration-test
-// crates need the explicit allow because they are not cfg(test).
-#![allow(clippy::unwrap_used)]
+#![expect(clippy::unwrap_used, reason = "fixture helpers outside #[test] unwrap")]
 use proptest::prelude::*;
 
 use cawo_core::enhanced::UnitInfo;

@@ -2,9 +2,7 @@
 //! equivalence, bounds consistency, schedule validity of every variant,
 //! and local-search monotonicity — the invariants listed in DESIGN.md §7.
 
-// Test code may unwrap freely (policy: clippy.toml); integration-test
-// crates need the explicit allow because they are not cfg(test).
-#![allow(clippy::unwrap_used)]
+#![expect(clippy::unwrap_used, reason = "fixture helpers outside #[test] unwrap")]
 use proptest::prelude::*;
 
 use cawo_core::enhanced::UnitInfo;

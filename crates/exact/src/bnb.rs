@@ -24,8 +24,7 @@
 //! `O(n·J)` boundary-aligned candidate set of Appendix A.2 — lossless
 //! by Lemma 4.2, so the optimality claim stands. Full enumeration
 //! remains available ([`CandidateMode::Full`]) as the differential-
-//! testing opt-in, and the unproven multi-unit restriction
-//! ([`CandidateMode::Boundary`]) demotes its result to *feasible*.
+//! testing opt-in.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -58,11 +57,6 @@ pub enum CandidateMode {
     /// opt-in (and the only provably exact set on multi-unit
     /// instances).
     Full,
-    /// Boundary-aligned candidates everywhere. On single-chain
-    /// instances this equals `Auto`; on multi-unit instances the
-    /// restriction has no losslessness proof, so an exhausted search is
-    /// reported as *feasible*, never optimal.
-    Boundary,
 }
 
 /// Solver configuration.
@@ -101,11 +95,9 @@ pub struct BnbResult {
     pub cost: Cost,
     /// Schedule achieving it.
     pub schedule: Schedule,
-    /// Whether the result is proven optimal (search space exhausted
-    /// *and* the candidate restriction is lossless on this instance).
+    /// Whether the result is proven optimal (the search space was
+    /// exhausted within the budget).
     pub optimal: bool,
-    /// Whether the (possibly restricted) search space was exhausted.
-    pub exhausted: bool,
     /// Explored search nodes.
     pub nodes: u64,
 }
@@ -148,7 +140,10 @@ impl SharedSearch {
             return true;
         }
         if let Some(d) = self.deadline {
-            // cawo-lint: allow(wall-clock) — enforcing the opt-in time budget.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "enforcing the opt-in time budget."
+            )]
             if Instant::now() >= d {
                 self.stop.store(true, Ordering::Relaxed);
                 return true;
@@ -430,7 +425,6 @@ const SLICES_PER_THREAD: usize = 4;
 
 /// Runs one unit to completion against the shared bound; returns the
 /// unit's best record and whether its subtree was fully explored.
-#[allow(clippy::too_many_arguments)]
 fn execute_unit<E: CostEngine + Clone>(
     unit: Unit<E>,
     inst: &Instance,
@@ -529,48 +523,28 @@ pub fn solve_exact_on<E: CostEngine + Clone + Send + Sync>(
 
     // Candidate-start restriction. On a single chain the Appendix A.2
     // candidate set is provably lossless (Lemma 4.2), so `Auto` applies
-    // it and keeps the optimality claim; the unproven multi-unit
-    // restriction only runs when explicitly opted into via `Boundary`,
-    // and then renounces the claim.
+    // it and keeps the optimality claim.
     let chain = crate::solver::single_chain(inst).ok();
-    let (cand_starts, lossless) = match (config.candidates, &chain) {
-        (CandidateMode::Full, _) => (None, true),
-        (CandidateMode::Auto, None) => (None, true),
-        (_, Some((order, _))) => {
+    let cand_starts = match (config.candidates, &chain) {
+        (CandidateMode::Full, _) | (CandidateMode::Auto, None) => None,
+        (CandidateMode::Auto, Some((order, _))) => {
             let ends = crate::dp::candidate_end_times(order, inst, profile);
             let mut sets: Vec<Vec<Time>> = vec![Vec::new(); n];
             for (i, &v) in order.iter().enumerate() {
                 sets[v as usize] = ends[i].iter().map(|&e| e - inst.exec(v)).collect();
             }
-            (Some(sets), true)
-        }
-        (CandidateMode::Boundary, None) => {
-            let mut sets: Vec<Vec<Time>> = vec![Vec::new(); n];
-            for (v, set) in sets.iter_mut().enumerate() {
-                let w = inst.exec(v as NodeId);
-                let mut s: Vec<Time> = profile
-                    .boundaries()
-                    .iter()
-                    .flat_map(|&b| [Some(b), b.checked_sub(w)])
-                    .flatten()
-                    .filter(|&t| t + w <= horizon)
-                    .collect();
-                s.push(bounds.lst(v as NodeId));
-                s.sort_unstable();
-                s.dedup();
-                *set = s;
-            }
-            (Some(sets), false)
+            Some(sets)
         }
     };
 
     // Incumbent: provided schedule or ASAP, priced through the engine.
     let incumbent = config.incumbent.unwrap_or_else(|| inst.asap_schedule());
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract on `BnbConfig::incumbent`; accepting an invalid incumbent would silently report a wrong optimum, so it must fail loudly."
+    )]
     incumbent
         .validate(inst, horizon)
-        // cawo-lint: allow(panic-path) — documented contract on
-        // `BnbConfig::incumbent`; accepting an invalid incumbent would
-        // silently report a wrong optimum, so it must fail loudly.
         .expect("incumbent must be valid for the deadline");
     let incumbent_cost = E::build(inst, &incumbent, profile).total_cost() as i64;
 
@@ -661,8 +635,7 @@ pub fn solve_exact_on<E: CostEngine + Clone + Send + Sync>(
     BnbResult {
         cost: best_cost as Cost,
         schedule,
-        optimal: exhausted && lossless,
-        exhausted,
+        optimal: exhausted,
         nodes: shared.nodes.load(Ordering::Relaxed),
     }
 }
@@ -675,8 +648,6 @@ pub fn solve_exact_on<E: CostEngine + Clone + Send + Sync>(
 pub struct BnbSolver {
     /// Cost-engine backend pricing the placements.
     pub engine: EngineKind,
-    /// Candidate-start restriction (default [`CandidateMode::Auto`]).
-    pub candidates: CandidateMode,
     /// Parallel tree exploration on the current `cawo_par` pool (see
     /// [`BnbConfig::parallel`]); a no-op on a 1-thread pool. Defaults
     /// to `true`, so the solver-registry path — grid runs, the CLI —
@@ -688,7 +659,6 @@ impl Default for BnbSolver {
     fn default() -> Self {
         BnbSolver {
             engine: EngineKind::default(),
-            candidates: CandidateMode::default(),
             parallel: true,
         }
     }
@@ -736,8 +706,8 @@ impl BnbSolver {
         let config = BnbConfig {
             budget,
             incumbent: Some(incumbent),
-            candidates: self.candidates,
             parallel: self.parallel,
+            ..BnbConfig::default()
         };
         let res = match self.engine {
             EngineKind::Dense => solve_exact_on::<DenseGrid>(inst, profile, config),
@@ -750,10 +720,6 @@ impl BnbSolver {
             cost: res.cost,
             status: if res.optimal {
                 SolveStatus::Optimal
-            } else if res.exhausted {
-                // The restricted (unproven) search space was exhausted:
-                // a valid schedule without an optimality proof.
-                SolveStatus::Feasible
             } else {
                 SolveStatus::TimedOut
             },
@@ -1019,56 +985,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn multiunit_boundary_mode_is_honest() {
-        // Two independent tasks on two units: the boundary restriction
-        // has no losslessness proof there, so even an exhausted search
-        // must not claim optimality — and the solver wrapper reports it
-        // as feasible.
-        let dag = DagBuilder::new(2).build().unwrap();
-        let inst = Instance::from_raw(
-            dag,
-            vec![3, 3],
-            vec![0, 1],
-            vec![
-                UnitInfo {
-                    p_idle: 0,
-                    p_work: 4,
-                    is_link: false,
-                },
-                UnitInfo {
-                    p_idle: 0,
-                    p_work: 4,
-                    is_link: false,
-                },
-            ],
-            0,
-        );
-        let profile = PowerProfile::from_parts(vec![0, 5, 10], vec![4, 0]);
-        let full = solve_exact(&inst, &profile, BnbConfig::default());
-        assert!(full.optimal, "Auto = Full on multi-unit instances");
-        let restricted = solve_exact(
-            &inst,
-            &profile,
-            BnbConfig {
-                candidates: CandidateMode::Boundary,
-                ..BnbConfig::default()
-            },
-        );
-        assert!(restricted.exhausted);
-        assert!(!restricted.optimal, "no proof on multi-unit instances");
-        assert!(restricted.cost >= full.cost, "still a valid schedule");
-        use crate::solver::Solver;
-        let res = BnbSolver {
-            candidates: CandidateMode::Boundary,
-            ..BnbSolver::default()
-        }
-        .solve(&inst, &profile, Budget::default())
-        .unwrap();
-        assert_eq!(res.status, crate::solver::SolveStatus::Feasible);
-        assert_eq!(res.lower_bound, None);
-    }
-
     /// Small random multi-unit instance: `n` tasks, random forward
     /// edges, random mapping onto two units. Kept tiny so the `Full`
     /// candidate enumeration exhausts in milliseconds.
@@ -1148,7 +1064,6 @@ mod tests {
                 )
             });
             assert_eq!(seq.cost, par.cost, "trial {trial}");
-            assert_eq!(seq.exhausted, par.exhausted, "trial {trial}");
             assert_eq!(seq.optimal, par.optimal, "trial {trial}");
             assert!(par.schedule.validate(&inst, profile.deadline()).is_ok());
             assert_eq!(par.cost, carbon_cost(&inst, &par.schedule, &profile));

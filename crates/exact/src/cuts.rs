@@ -192,8 +192,10 @@ fn separate_covers(
         }
         // Greedy cover: largest fractional coverage first, until the
         // selected working powers overflow the budget.
-        // cawo-lint: allow(panic-path) — coverage ratios are finite by
-        // construction (denominators are positive work powers).
+        #[expect(
+            clippy::expect_used,
+            reason = "coverage ratios are finite by construction (denominators are positive work powers)."
+        )]
         cand.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite").then(a.1.cmp(&b.1)));
         let mut power = idle;
         let mut cover: Vec<(NodeId, f64)> = Vec::new();
@@ -372,8 +374,10 @@ pub fn root_cut_loop(
         if cuts.is_empty() {
             break;
         }
-        // cawo-lint: allow(panic-path) — violations are finite: each is
-        // a difference of finite LP activities.
+        #[expect(
+            clippy::expect_used,
+            reason = "violations are finite: each is a difference of finite LP activities."
+        )]
         cuts.sort_by(|a, b| b.violation.partial_cmp(&a.violation).expect("finite"));
         cuts.truncate(MAX_CUTS_PER_ROUND);
 
@@ -402,7 +406,10 @@ pub fn root_cut_loop(
         let opts = match deadline {
             None => SimplexOptions::default(),
             Some(d) => {
-                // cawo-lint: allow(wall-clock) — rescaling the opt-in time budget.
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "rescaling the opt-in time budget."
+                )]
                 let now = Instant::now();
                 if now >= d {
                     return (root, stats);

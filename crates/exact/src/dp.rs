@@ -42,18 +42,21 @@ pub struct DpResult {
 
 /// Extracts the single chain (task order) of a uniprocessor instance.
 /// Panics if more than one unit actually executes nodes.
+#[expect(
+    clippy::panic,
+    reason = "documented panic: the DP entry points require uniprocessor instances; the solver registry validates shape before dispatching here."
+)]
 fn single_chain(inst: &Instance) -> (Vec<NodeId>, u64) {
-    // cawo-lint: allow(panic-path) — documented panic: the DP entry
-    // points require uniprocessor instances; the solver registry
-    // validates shape before dispatching here.
     crate::solver::single_chain(inst).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The pseudo-polynomial DP (Eq. (1) plus idle-gap cost). `O(n·T)` time
 /// and memory; only suitable for moderate horizons.
 pub fn dp_pseudo_polynomial(inst: &Instance, profile: &PowerProfile) -> DpResult {
-    // cawo-lint: allow(panic-path) — with no budget the budgeted DP
-    // cannot time out, so it always returns Some.
+    #[expect(
+        clippy::expect_used,
+        reason = "with no budget the budgeted DP cannot time out, so it always returns Some."
+    )]
     let (res, _) = dp_pseudo_budgeted(inst, profile, None).expect("no deadline given");
     res
 }
@@ -83,7 +86,10 @@ fn dp_pseudo_budgeted(
 
     let mut prefix_exec: Time = 0;
     for (i, &v) in chain.iter().enumerate() {
-        // cawo-lint: allow(wall-clock) — enforcing the opt-in time budget.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "enforcing the opt-in time budget."
+        )]
         if wall_deadline.is_some_and(|d| Instant::now() >= d) {
             return None;
         }
@@ -121,9 +127,12 @@ fn dp_pseudo_budgeted(
                 }
                 if best_at != u32::MAX {
                     let total = best_val + idle_cost.cum(x) as i128 + active.window(x, t) as i128;
-                    // cawo-lint: allow(panic-path) — every summand
-                    // (DP value, idle prefix, window cost) is >= 0.
-                    next[t as usize] = u64::try_from(total).expect("cost is non-negative");
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "every summand (DP value, idle prefix, window cost) is >= 0."
+                    )]
+                    let cell_cost = u64::try_from(total).expect("cost is non-negative");
+                    next[t as usize] = cell_cost;
                     parent[t as usize] = best_at;
                 }
             }
@@ -221,8 +230,10 @@ pub(crate) fn candidate_end_times(
 /// over the `O(n²J)` candidate set per task (Lemma 4.2 guarantees an
 /// optimal E-schedule exists within it).
 pub fn dp_polynomial(inst: &Instance, profile: &PowerProfile) -> DpResult {
-    // cawo-lint: allow(panic-path) — with no budget the budgeted DP
-    // cannot time out, so it always returns Some.
+    #[expect(
+        clippy::expect_used,
+        reason = "with no budget the budgeted DP cannot time out, so it always returns Some."
+    )]
     let (res, _) = dp_polynomial_budgeted(inst, profile, None).expect("no deadline given");
     res
 }
@@ -253,7 +264,10 @@ fn dp_polynomial_budgeted(
     let mut parents: Vec<Vec<u32>> = Vec::with_capacity(n);
     let mut cells: u64 = 0;
     for i in 0..n {
-        // cawo-lint: allow(wall-clock) — enforcing the opt-in time budget.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "enforcing the opt-in time budget."
+        )]
         if wall_deadline.is_some_and(|d| Instant::now() >= d) {
             return None;
         }
@@ -322,11 +336,14 @@ fn dp_polynomial_budgeted(
             k = parents[i][k] as usize;
         }
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "every summand entering `best_cost` is >= 0."
+    )]
+    let cost = Cost::try_from(best_cost).expect("cost is non-negative");
     Some((
         DpResult {
-            // cawo-lint: allow(panic-path) — every summand entering
-            // `best_cost` is >= 0.
-            cost: Cost::try_from(best_cost).expect("cost is non-negative"),
+            cost,
             schedule: Schedule::new(start),
         },
         cells,

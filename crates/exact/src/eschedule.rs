@@ -88,8 +88,10 @@ pub fn to_e_schedule_on<E: CostEngine>(
     profile: &PowerProfile,
     sched: &Schedule,
 ) -> (Schedule, Cost) {
-    // cawo-lint: allow(panic-path) — documented panic: E-schedule
-    // canonicalisation is defined for uniprocessor chains only.
+    #[expect(
+        clippy::panic,
+        reason = "documented panic: E-schedule canonicalisation is defined for uniprocessor chains only."
+    )]
     let (chain, _) = crate::solver::single_chain(inst).unwrap_or_else(|e| panic!("{e}"));
     let horizon = profile.deadline();
 

@@ -42,6 +42,9 @@
 //!
 //! [`CostEngine`]: cawo_core::CostEngine
 
+// Solver errors are values, never aborts (docs/LINTS.md).
+#![warn(clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 pub mod bnb;
 pub mod cuts;
 pub mod dp;

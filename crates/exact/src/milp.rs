@@ -221,7 +221,10 @@ impl MilpSolver {
             match deadline {
                 None => Some(SimplexOptions::default()),
                 Some(d) => {
-                    // cawo-lint: allow(wall-clock) — rescaling the opt-in time budget.
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "rescaling the opt-in time budget."
+                    )]
                     let now = Instant::now();
                     (now < d).then(|| SimplexOptions {
                         time_limit: Some(d - now),

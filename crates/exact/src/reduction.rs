@@ -32,10 +32,12 @@ pub fn three_partition_instance(xs: &[Time], b: Time) -> (Instance, PowerProfile
         "need 3n elements"
     );
     let n = xs.len() / 3;
+    #[expect(
+        clippy::expect_used,
+        reason = "the builder saw no edges, and an edgeless graph cannot contain a cycle."
+    )]
     let dag = DagBuilder::new(xs.len())
         .build()
-        // cawo-lint: allow(panic-path) — the builder saw no edges, and
-        // an edgeless graph cannot contain a cycle.
         .expect("no edges, trivially acyclic");
     let units: Vec<UnitInfo> = (0..xs.len())
         .map(|_| UnitInfo {

@@ -122,9 +122,11 @@ impl Budget {
     }
 
     /// The wall-clock deadline implied by the time limit, anchored now.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "opt-in time budget: `time_limit` is documented as non-reproducible; the default (None) never reads the clock."
+    )]
     pub(crate) fn deadline_from_now(&self) -> Option<Instant> {
-        // cawo-lint: allow(wall-clock) — opt-in time budget: `time_limit` is
-        // documented as non-reproducible; the default (None) never reads the clock.
         self.time_limit.map(|d| Instant::now() + d)
     }
 }

@@ -7,9 +7,7 @@
 //! `milp` solver must keep agreeing with the combinatorial
 //! branch-and-bound and the dense-tableau oracle.
 
-// Test code may unwrap freely (policy: clippy.toml); integration-test
-// crates need the explicit allow because they are not cfg(test).
-#![allow(clippy::unwrap_used)]
+#![expect(clippy::unwrap_used, reason = "fixture helpers outside #[test] unwrap")]
 mod support;
 
 use cawo_core::enhanced::UnitInfo;

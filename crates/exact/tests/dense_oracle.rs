@@ -6,10 +6,6 @@
 //!
 //! Run by name in CI: `cargo test -p cawo_exact --test dense_oracle`.
 
-// Test code may unwrap freely (policy: clippy.toml); integration-test
-// crates need the explicit allow because they are not cfg(test).
-#![allow(clippy::unwrap_used)]
-
 mod support;
 
 use cawo_core::enhanced::UnitInfo;

@@ -13,9 +13,7 @@
 //!
 //! Run by name in CI: `cargo test -p cawo_exact --test lp_parity`.
 
-// Test code may unwrap freely (policy: clippy.toml); integration-test
-// crates need the explicit allow because they are not cfg(test).
-#![allow(clippy::unwrap_used)]
+#![expect(clippy::unwrap_used, reason = "fixture helpers outside #[test] unwrap")]
 mod support;
 
 use rand::rngs::StdRng;

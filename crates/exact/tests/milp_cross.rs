@@ -3,9 +3,7 @@
 //! model, the combinatorial branch-and-bound, and (single-unit cases)
 //! the uniprocessor DP must all report the same optimal carbon cost.
 
-// Test code may unwrap freely (policy: clippy.toml); integration-test
-// crates need the explicit allow because they are not cfg(test).
-#![allow(clippy::unwrap_used)]
+#![expect(clippy::unwrap_used, reason = "fixture helpers outside #[test] unwrap")]
 mod support;
 
 use cawo_core::enhanced::UnitInfo;

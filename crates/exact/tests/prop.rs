@@ -1,9 +1,7 @@
 //! Property-based tests tying the exact methods together: the two DPs,
 //! the branch-and-bound and the ILP checker must all agree.
 
-// Test code may unwrap freely (policy: clippy.toml); integration-test
-// crates need the explicit allow because they are not cfg(test).
-#![allow(clippy::unwrap_used)]
+#![expect(clippy::unwrap_used, reason = "fixture helpers outside #[test] unwrap")]
 use proptest::prelude::*;
 
 use cawo_core::enhanced::UnitInfo;

@@ -8,9 +8,7 @@
 //! * and all solvers concluding [`SolveStatus::Optimal`] must agree on
 //!   one optimal cost, which no heuristic may beat.
 
-// Test code may unwrap freely (policy: clippy.toml); integration-test
-// crates need the explicit allow because they are not cfg(test).
-#![allow(clippy::unwrap_used)]
+#![expect(clippy::unwrap_used, reason = "fixture helpers outside #[test] unwrap")]
 use proptest::prelude::*;
 
 use cawo_core::enhanced::UnitInfo;

@@ -1,8 +1,6 @@
 //! Property-based tests for HEFT and its carbon-aware extension.
 
-// Test code may unwrap freely (policy: clippy.toml); integration-test
-// crates need the explicit allow because they are not cfg(test).
-#![allow(clippy::unwrap_used)]
+#![expect(clippy::unwrap_used, reason = "fixture helpers outside #[test] unwrap")]
 use proptest::prelude::*;
 
 use cawo_graph::generator::{generate, Family, GeneratorConfig};

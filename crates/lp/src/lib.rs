@@ -27,6 +27,9 @@
 //! differential-testing oracle — the `lp_parity` suite holds the two
 //! engines to bit-comparable objectives.
 
+// Solver errors are values, never aborts (docs/LINTS.md).
+#![warn(clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 pub mod csc;
 pub mod lu;
 pub mod model;

@@ -213,13 +213,15 @@ impl LuFactors {
             // Threshold + Markowitz-style tie-break: among rows within
             // `PIVOT_THRESHOLD` of the largest magnitude, prefer the
             // sparsest row.
+            #[expect(
+                clippy::expect_used,
+                reason = "the row attaining amax passes the threshold filter, so the set is non-empty."
+            )]
             let pivot_row = cands
                 .iter()
                 .copied()
                 .filter(|&r| work[r as usize].abs() >= PIVOT_THRESHOLD * amax)
                 .min_by_key(|&r| (row_counts.get(r as usize).copied().unwrap_or(0), r))
-                // cawo-lint: allow(panic-path) — the row attaining amax
-                // passes the threshold filter, so the set is non-empty.
                 .expect("amax > 0 implies an eligible candidate");
             let d = work[pivot_row as usize];
             let mut lcol: Vec<(u32, f64)> = Vec::new();

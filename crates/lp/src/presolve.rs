@@ -253,11 +253,13 @@ pub fn presolve(lp: &SparseLp) -> Result<Presolved, PresolveInfeasible> {
                 continue;
             }
             let (terms, _, rhs) = rows[ri].clone();
+            #[expect(
+                clippy::expect_used,
+                reason = "col_count[j] counted an occurrence of j in exactly this row's term list."
+            )]
             let coef = terms
                 .iter()
                 .find(|&&(k, _)| k == j)
-                // cawo-lint: allow(panic-path) — col_count[j] counted an
-                // occurrence of j in exactly this row's term list.
                 .expect("occurrence counted")
                 .1;
             let others: Vec<(usize, f64)> =
@@ -296,10 +298,12 @@ pub fn presolve(lp: &SparseLp) -> Result<Presolved, PresolveInfeasible> {
         if !row_alive[ri] {
             continue;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "presolve only drops a column after eliminating it from every surviving row."
+        )]
         let terms: Vec<(u32, f64)> = terms
             .into_iter()
-            // cawo-lint: allow(panic-path) — presolve only drops a column
-            // after eliminating it from every surviving row.
             .map(|(j, a)| (map[j].expect("live rows reference live columns"), a))
             .collect();
         row_map[ri] = Some(lp_out.num_rows() as u32);

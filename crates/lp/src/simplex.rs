@@ -69,47 +69,6 @@ pub struct Basis {
     pub statuses: Vec<VStat>,
 }
 
-impl Basis {
-    /// Serialises the basis to a compact byte string (one byte per
-    /// column, prefixed by a little-endian `u64` length) so warm-start
-    /// tokens can be stored outside the solver — e.g. in the
-    /// `cawo_cache` solve cache — without tying the storage layer to
-    /// this crate's types.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + self.statuses.len());
-        out.extend_from_slice(&(self.statuses.len() as u64).to_le_bytes());
-        out.extend(self.statuses.iter().map(|s| match s {
-            VStat::Basic => 0u8,
-            VStat::AtLower => 1,
-            VStat::AtUpper => 2,
-            VStat::Free => 3,
-        }));
-        out
-    }
-
-    /// Inverse of [`Basis::to_bytes`]. Returns `None` on any framing or
-    /// tag error — a corrupt token degrades to a cold start, never a
-    /// bogus basis.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Basis> {
-        let len = u64::try_from(bytes.len()).ok()?.checked_sub(8)?;
-        let (head, body) = bytes.split_at(8);
-        if u64::from_le_bytes(head.try_into().ok()?) != len {
-            return None;
-        }
-        let statuses = body
-            .iter()
-            .map(|&b| match b {
-                0 => Some(VStat::Basic),
-                1 => Some(VStat::AtLower),
-                2 => Some(VStat::AtUpper),
-                3 => Some(VStat::Free),
-                _ => None,
-            })
-            .collect::<Option<Vec<_>>>()?;
-        Some(Basis { statuses })
-    }
-}
-
 /// Solver verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LpStatus {
@@ -471,8 +430,10 @@ impl SimplexSolver {
 
     /// Runs the simplex from the current state.
     pub fn solve(&mut self, opts: &SimplexOptions) -> LpSolution {
-        // cawo-lint: allow(wall-clock) — opt-in time budget: `time_limit` is
-        // documented as non-reproducible; the default (None) never reads the clock.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "opt-in time budget: `time_limit` is documented as non-reproducible; the default (None) never reads the clock."
+        )]
         let deadline = opts.time_limit.map(|d| Instant::now() + d);
         // Bounds (or rows) may have changed since the last call, which
         // would invalidate any bound tracked then.
@@ -494,8 +455,10 @@ impl SimplexSolver {
         if self.lu.is_none() && self.refactor().is_err() {
             // A singular saved basis: restart cold (always factors).
             self.reset_basis();
-            // cawo-lint: allow(panic-path) — the all-slack basis is the
-            // identity matrix; its factorisation cannot fail.
+            #[expect(
+                clippy::expect_used,
+                reason = "the all-slack basis is the identity matrix; its factorisation cannot fail."
+            )]
             self.refactor().expect("slack basis is nonsingular");
         }
         self.compute_xb();
@@ -540,7 +503,10 @@ impl SimplexSolver {
             }
             if iterations.is_multiple_of(64) {
                 if let Some(d) = deadline {
-                    // cawo-lint: allow(wall-clock) — enforcing the opt-in time budget.
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "enforcing the opt-in time budget."
+                    )]
                     if Instant::now() >= d {
                         return self.finish(LpStatus::TimeLimit, iterations, stats);
                     }
@@ -591,8 +557,10 @@ impl SimplexSolver {
                 if devex.is_none() {
                     devex = Some(self.devex_build());
                 }
-                // cawo-lint: allow(panic-path) — the None arm directly
-                // above populated the option.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the None arm directly above populated the option."
+                )]
                 let dv = devex.as_mut().expect("just built");
                 if dv.max_gamma > DEVEX_RESET {
                     // Reference-framework reset: the current nonbasic
@@ -844,8 +812,10 @@ impl SimplexSolver {
                                 // it will not now, restart cold as the
                                 // last resort.
                                 self.reset_basis();
-                                // cawo-lint: allow(panic-path) — the all-slack basis is the
-                                // identity matrix; its factorisation cannot fail.
+                                #[expect(
+                                    clippy::expect_used,
+                                    reason = "the all-slack basis is the identity matrix; its factorisation cannot fail."
+                                )]
                                 self.refactor().expect("slack basis is nonsingular");
                             }
                             stats.refactors += 1;
@@ -890,7 +860,6 @@ impl SimplexSolver {
     /// (dual unboundedness = primal infeasibility) — it returns and
     /// the primal phases re-verify from a fresh state; a confused dual
     /// pass can therefore never fabricate an answer, only waste time.
-    #[allow(clippy::too_many_arguments)]
     fn dual_loop(
         &mut self,
         opts: &SimplexOptions,
@@ -946,8 +915,10 @@ impl SimplexSolver {
                 VStat::AtLower => dj >= -slack_tol,
                 VStat::AtUpper => dj <= slack_tol,
                 VStat::Free => dj.abs() <= slack_tol,
-                // cawo-lint: allow(panic-path) — callers iterate nonbasic
-                // columns only; a basic column here is a corrupt basis.
+                #[expect(
+                    clippy::unreachable,
+                    reason = "callers iterate nonbasic columns only; a basic column here is a corrupt basis."
+                )]
                 VStat::Basic => unreachable!(),
             };
             if !ok {
@@ -963,7 +934,10 @@ impl SimplexSolver {
             }
             if iterations.is_multiple_of(64) {
                 if let Some(dl) = deadline {
-                    // cawo-lint: allow(wall-clock) — enforcing the opt-in time budget.
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "enforcing the opt-in time budget."
+                    )]
                     if Instant::now() >= dl {
                         return;
                     }
@@ -1027,8 +1001,10 @@ impl SimplexSolver {
                     VStat::AtLower => ahat > 0.0,
                     VStat::AtUpper => ahat < 0.0,
                     VStat::Free => true,
-                    // cawo-lint: allow(panic-path) — callers iterate nonbasic
-                    // columns only; a basic column here is a corrupt basis.
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "callers iterate nonbasic columns only; a basic column here is a corrupt basis."
+                    )]
                     VStat::Basic => unreachable!(),
                 };
                 if !eligible {
@@ -1097,8 +1073,10 @@ impl SimplexSolver {
                     self.vstat[q] = entering_status;
                     if self.refactor().is_err() {
                         self.reset_basis();
-                        // cawo-lint: allow(panic-path) — the all-slack basis is the
-                        // identity matrix; its factorisation cannot fail.
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "the all-slack basis is the identity matrix; its factorisation cannot fail."
+                        )]
                         self.refactor().expect("slack basis is nonsingular");
                     }
                     stats.refactors += 1;
@@ -1192,8 +1170,10 @@ impl SimplexSolver {
                     VStat::AtLower => -dj,
                     VStat::AtUpper => dj,
                     VStat::Free => dj.abs(),
-                    // cawo-lint: allow(panic-path) — callers iterate nonbasic
-                    // columns only; a basic column here is a corrupt basis.
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "callers iterate nonbasic columns only; a basic column here is a corrupt basis."
+                    )]
                     VStat::Basic => unreachable!(),
                 };
                 if viol > DUAL_TOL {
@@ -1254,7 +1234,7 @@ impl SimplexSolver {
     /// Recursive splitter of [`SimplexSolver::devex_update`]'s sweep
     /// over disjoint column sub-slices. Returns the largest weight
     /// seen (an exact max-reduction).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "recursion over disjoint slices")]
     fn devex_sweep(
         &self,
         base: usize,
@@ -1486,8 +1466,10 @@ impl SimplexSolver {
             VStat::AtLower => -d,
             VStat::AtUpper => d,
             VStat::Free => d.abs(),
-            // cawo-lint: allow(panic-path) — callers iterate nonbasic
-            // columns only; a basic column here is a corrupt basis.
+            #[expect(
+                clippy::unreachable,
+                reason = "callers iterate nonbasic columns only; a basic column here is a corrupt basis."
+            )]
             VStat::Basic => unreachable!(),
         };
         (viol > DUAL_TOL).then_some((viol, d, j))
@@ -1554,8 +1536,10 @@ impl SimplexSolver {
             VStat::AtLower => self.lo[j],
             VStat::AtUpper => self.hi[j],
             VStat::Free => 0.0,
-            // cawo-lint: allow(panic-path) — callers iterate nonbasic
-            // columns only; a basic column here is a corrupt basis.
+            #[expect(
+                clippy::unreachable,
+                reason = "callers iterate nonbasic columns only; a basic column here is a corrupt basis."
+            )]
             VStat::Basic => unreachable!("nonbasic_value of a basic column"),
         }
     }
@@ -1590,8 +1574,10 @@ impl SimplexSolver {
     fn refresh(&mut self) {
         if self.refactor().is_err() {
             self.reset_basis();
-            // cawo-lint: allow(panic-path) — the all-slack basis is the
-            // identity matrix; its factorisation cannot fail.
+            #[expect(
+                clippy::expect_used,
+                reason = "the all-slack basis is the identity matrix; its factorisation cannot fail."
+            )]
             self.refactor().expect("slack basis is nonsingular");
         }
         self.compute_xb();
@@ -1664,38 +1650,6 @@ mod tests {
     fn optimal(sol: &LpSolution) -> (f64, &[f64]) {
         assert_eq!(sol.status, LpStatus::Optimal, "{sol:?}");
         (sol.objective, &sol.x)
-    }
-
-    #[test]
-    fn basis_bytes_roundtrip() {
-        let basis = Basis {
-            statuses: vec![
-                VStat::Basic,
-                VStat::AtLower,
-                VStat::AtUpper,
-                VStat::Free,
-                VStat::Basic,
-            ],
-        };
-        let bytes = basis.to_bytes();
-        assert_eq!(bytes.len(), 8 + 5);
-        assert_eq!(Basis::from_bytes(&bytes), Some(basis.clone()));
-        // An empty basis roundtrips too.
-        let empty = Basis { statuses: vec![] };
-        assert_eq!(Basis::from_bytes(&empty.to_bytes()), Some(empty));
-        // Corruption degrades to None, never a bogus basis.
-        assert_eq!(Basis::from_bytes(&[]), None);
-        assert_eq!(Basis::from_bytes(&bytes[..bytes.len() - 1]), None);
-        let mut bad_tag = bytes.clone();
-        *bad_tag.last_mut().unwrap() = 9;
-        assert_eq!(Basis::from_bytes(&bad_tag), None);
-        // A solved model's basis survives the trip.
-        let mut lp = SparseLp::new();
-        lp.add_col(-1.0, 0.0, 2.0);
-        lp.add_col(-1.0, 0.0, INF);
-        lp.add_row(vec![(0, 1.0), (1, 1.0)], RowCmp::Le, 4.0);
-        let sol = solve(&lp, &SimplexOptions::default());
-        assert_eq!(Basis::from_bytes(&sol.basis.to_bytes()), Some(sol.basis));
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //! line-numbered error otherwise — CI runs this against the trace the
 //! `experiments` bin emits.
 
+#![expect(clippy::print_stdout, clippy::print_stderr, reason = "a CLI binary")]
+
 use std::process::ExitCode;
 
 use serde_json::Value;

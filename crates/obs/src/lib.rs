@@ -155,9 +155,11 @@ pub fn init(cli_flag: Option<&str>) -> Result<Level, String> {
 /// [`Ctr::Warnings`]. Warnings are *not* gated by the level: they
 /// signal conditions (a cache verify-signature rejection, a bad env
 /// value) that the operator should see even with observability off.
+#[expect(
+    clippy::print_stderr,
+    reason = "this IS the workspace's one sanctioned stderr sink; every other crate routes warnings here."
+)]
 pub fn warn(msg: &str) {
-    // cawo-lint: allow(print-hygiene) — this IS the workspace's one
-    // sanctioned stderr sink; every other crate routes warnings here.
     eprintln!("cawo: warning: {msg}");
     // Counter bumps are level-gated; warnings must count regardless so
     // a later `drain` at any level can still report how many fired.
@@ -174,6 +176,7 @@ static EPOCH: OnceLock<Instant> = OnceLock::new();
 
 /// Microseconds since the process-wide observability epoch (the first
 /// call into this module). All event timestamps share this clock.
+#[expect(clippy::disallowed_methods, reason = "the one clock all traces share")]
 pub fn now_us() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_micros() as u64
 }

@@ -64,9 +64,9 @@ where
             unsafe { *slot.0 = Some(r) };
             latch_ref.set();
         });
-        // SAFETY: see above — the job is consumed before `join`
-        // returns, on every path.
         let stealable = Arc::new(Stealable {
+            // SAFETY: see above — the job is consumed before `join`
+            // returns, on every path.
             job: Mutex::new(Some(unsafe { erase_job(b_job) })),
         });
         let runner = stealable.clone();

@@ -50,10 +50,10 @@
 //! re-throwing; iterator adaptors propagate a panic from the closure
 //! after the parallel pass has quiesced.
 
-// The one crate exempt from the workspace-wide `unsafe_code = "deny"`:
-// the work-stealing pool is where the workspace's unsafe lives, each
-// block audited by cawo_lint's safety-comment rule (docs/LINTS.md).
-#![allow(unsafe_code)]
+// The one crate exempt from the workspace-wide `unsafe_code = "deny"`.
+// Each unsafe block still needs a `// SAFETY:` comment directly above
+// it (`clippy::undocumented_unsafe_blocks`, docs/LINTS.md).
+#![expect(unsafe_code, reason = "the pool is the single audited unsafe surface")]
 #![forbid(unsafe_op_in_unsafe_fn)]
 
 mod iter;

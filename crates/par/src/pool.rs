@@ -137,6 +137,7 @@ impl ThreadPoolBuilder {
         if n > 1 {
             for index in 0..n {
                 let reg = registry.clone();
+                #[expect(clippy::disallowed_methods, reason = "the pool's own worker threads")]
                 let h = std::thread::Builder::new()
                     .name(format!("cawo-par-{index}"))
                     .spawn(move || Registry::worker_main(reg, index))

@@ -29,6 +29,8 @@
 //! unaffected (a warm start reaches the same optimum); node counts
 //! and timings shrink.
 
+#![expect(clippy::print_stdout, clippy::print_stderr, reason = "a CLI binary")]
+
 use std::sync::Arc;
 
 use cawo_cache::{CacheOutcome, SolveCache};
@@ -82,7 +84,7 @@ impl ObsArgs {
     }
 }
 
-#[allow(clippy::exit)] // a CLI's usage/error path legitimately exits
+#[expect(clippy::exit, reason = "a CLI's usage/error path legitimately exits")]
 fn die(msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(2)

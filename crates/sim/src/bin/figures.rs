@@ -8,6 +8,8 @@
 //! Each handler prints the same rows/series the paper plots; measured
 //! outcomes are recorded in EXPERIMENTS.md.
 
+#![expect(clippy::print_stdout, clippy::print_stderr, reason = "a CLI binary")]
+
 use std::collections::HashMap;
 
 use cawo_core::{Cost, Variant};
@@ -180,7 +182,7 @@ fn fig17(results: &[SpecResult]) {
     }
 }
 
-#[allow(clippy::exit)] // a CLI's usage/error path legitimately exits
+#[expect(clippy::exit, reason = "a CLI's usage/error path legitimately exits")]
 fn die(msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(2)

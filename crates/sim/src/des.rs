@@ -201,13 +201,17 @@ pub fn simulate(
     }
     debug_assert_eq!(power, idle, "all tasks must have ended");
 
+    #[expect(
+        clippy::expect_used,
+        reason = "energy accumulates in u128; the total fits u64 for any bounded-horizon instance."
+    )]
+    let carbon_cost = Cost::try_from(brown).expect("fits");
+    #[expect(clippy::expect_used, reason = "same bound as carbon_cost.")]
+    let green_energy = u64::try_from(green).expect("fits");
     Ok(SimReport {
         makespan,
-        // cawo-lint: allow(panic-path) — energy accumulates in u128;
-        // the total fits u64 for any bounded-horizon instance.
-        carbon_cost: Cost::try_from(brown).expect("fits"),
-        // cawo-lint: allow(panic-path) — same bound as carbon_cost.
-        green_energy: u64::try_from(green).expect("fits"),
+        carbon_cost,
+        green_energy,
         peak_power: peak as Power,
         events: events.len(),
     })

@@ -35,14 +35,15 @@ impl ExactCmpResult {
     /// `optimal / heuristic` ratio (the paper's Fig. 7 quantity; 1 when
     /// the heuristic is optimal, conventions as in §6.2).
     pub fn ratio(&self, v: Variant) -> f64 {
+        #[expect(
+            clippy::expect_used,
+            reason = "rows hold one entry per compared variant; querying an uncompared variant is a bug in the caller's report wiring."
+        )]
         let h = self
             .heuristic
             .iter()
             .find(|&&(hv, _)| hv == v)
             .map(|&(_, c)| c)
-            // cawo-lint: allow(panic-path) — rows hold one entry per
-            // compared variant; querying an uncompared variant is a bug
-            // in the caller's report wiring.
             .expect("variant was compared");
         if h == self.optimal {
             1.0

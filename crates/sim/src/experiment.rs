@@ -363,24 +363,28 @@ pub struct SpecResult {
 impl SpecResult {
     /// Cost of a specific variant.
     pub fn cost_of(&self, v: Variant) -> Cost {
+        #[expect(
+            clippy::expect_used,
+            reason = "accessors are keyed by the same `cfg.variants` list the row was built from."
+        )]
         let i = self
             .variants
             .iter()
             .position(|&x| x == v)
-            // cawo-lint: allow(panic-path) — accessors are keyed by the
-            // same `cfg.variants` list the row was built from.
             .expect("variant was run");
         self.cost[i]
     }
 
     /// Wall-clock milliseconds of a specific variant.
     pub fn millis_of(&self, v: Variant) -> f64 {
+        #[expect(
+            clippy::expect_used,
+            reason = "accessors are keyed by the same `cfg.variants` list the row was built from."
+        )]
         let i = self
             .variants
             .iter()
             .position(|&x| x == v)
-            // cawo-lint: allow(panic-path) — accessors are keyed by the
-            // same `cfg.variants` list the row was built from.
             .expect("variant was run");
         self.millis[i]
     }
@@ -421,11 +425,13 @@ fn profile_seed(master: u64, spec: &InstanceSpec) -> u64 {
 pub fn run_grid(cfg: &ExperimentConfig) -> Vec<SpecResult> {
     match cfg.threads {
         0 => run_grid_inner(cfg),
+        #[expect(
+            clippy::expect_used,
+            reason = "cawo_par's builder only errors on OS thread-spawn failure, which is fatal anyway."
+        )]
         n => rayon::ThreadPoolBuilder::new()
             .num_threads(n)
             .build()
-            // cawo-lint: allow(panic-path) — cawo_par's builder only
-            // errors on OS thread-spawn failure, which is fatal anyway.
             .expect("pool construction cannot fail")
             .install(|| run_grid_inner(cfg)),
     }
@@ -551,8 +557,10 @@ pub fn run_one(
         ..RunParams::default()
     };
     let run_variant = |&v: &Variant| {
-        // cawo-lint: allow(wall-clock) — measures elapsed runtime for the
-        // report's timing column; never feeds schedules or costs.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "measures elapsed runtime for the report's timing column; never feeds schedules or costs."
+        )]
         let t0 = Instant::now();
         let sched = v.run_with(inst, &profile, params);
         let dt = t0.elapsed().as_secs_f64() * 1e3;
@@ -568,8 +576,10 @@ pub fn run_one(
         }
     };
     let run_solver = |&kind: &SolverKind| {
-        // cawo-lint: allow(wall-clock) — measures elapsed runtime for the
-        // report's timing column; never feeds schedules or costs.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "measures elapsed runtime for the report's timing column; never feeds schedules or costs."
+        )]
         let t0 = Instant::now();
         // Route through the shared solve cache when one is configured:
         // an identical earlier row is a lookup, a same-workflow row

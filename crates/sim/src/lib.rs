@@ -16,6 +16,9 @@
 //! The `figures` binary maps every paper artifact id (`table1`, `fig1`,
 //! …, `fig17`) to the code that regenerates its rows/series.
 
+// Solver errors are values, never aborts (docs/LINTS.md).
+#![warn(clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 pub mod des;
 pub mod exactcmp;
 pub mod experiment;

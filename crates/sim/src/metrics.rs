@@ -69,8 +69,10 @@ pub fn performance_ratios(per_instance_costs: &[Vec<Cost>], alg: usize) -> Vec<f
     per_instance_costs
         .iter()
         .map(|costs| {
-            // cawo-lint: allow(panic-path) — a grid row always carries
-            // at least one algorithm column.
+            #[expect(
+                clippy::expect_used,
+                reason = "a grid row always carries at least one algorithm column."
+            )]
             let best = *costs.iter().min().expect("at least one algorithm");
             let own = costs[alg];
             if own == best {
@@ -155,11 +157,15 @@ pub fn boxplot(values: &[f64]) -> Option<BoxplotStats> {
     let hi_fence = q3 + 1.5 * iqr;
     let lo_found = v.iter().find(|&&x| x >= lo_fence);
     let hi_found = v.iter().rev().find(|&&x| x <= hi_fence);
-    // cawo-lint: allow(panic-path) — lo_fence <= q1 and q1 is itself a
-    // sample, so a qualifying element exists.
+    #[expect(
+        clippy::expect_used,
+        reason = "lo_fence <= q1 and q1 is itself a sample, so a qualifying element exists."
+    )]
     let lo_whisker = *lo_found.expect("fence brackets q1");
-    // cawo-lint: allow(panic-path) — hi_fence >= q3 and q3 is itself a
-    // sample, so a qualifying element exists.
+    #[expect(
+        clippy::expect_used,
+        reason = "hi_fence >= q3 and q3 is itself a sample, so a qualifying element exists."
+    )]
     let hi_whisker = *hi_found.expect("fence brackets q3");
     let outliers = v
         .iter()

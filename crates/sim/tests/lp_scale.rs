@@ -13,9 +13,7 @@
 //!
 //! A scaled-down version of the same path runs everywhere.
 
-// Test code may unwrap freely (policy: clippy.toml); integration-test
-// crates need the explicit allow because they are not cfg(test).
-#![allow(clippy::unwrap_used)]
+#![expect(clippy::unwrap_used, reason = "fixture helpers outside #[test] unwrap")]
 use cawo_core::Variant;
 use cawo_exact::{Budget, SolverKind};
 use cawo_graph::generator::{self, Family, PaperInstance};

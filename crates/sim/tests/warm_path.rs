@@ -74,6 +74,7 @@ fn repeated_queries_are_served_from_the_cache() {
 
 #[test]
 #[ignore = "CI warm-path release job: cargo test --release -p cawo_sim --test warm_path -- --ignored"]
+#[expect(clippy::disallowed_methods, reason = "speedup timings, never a result")]
 fn warm_speedup_on_the_100_task_model() {
     let (inst, old, new) = model(100);
     let cache = SolveCache::new();

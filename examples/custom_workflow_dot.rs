@@ -9,6 +9,8 @@
 //! Without an argument, a built-in video-encoding-pipeline DOT string is
 //! used.
 
+#![expect(clippy::print_stdout, reason = "an example prints to stdout")]
+
 use cawosched::graph::dot;
 use cawosched::prelude::*;
 

@@ -7,6 +7,8 @@
 //! cargo run --release --example exact_vs_heuristic
 //! ```
 
+#![expect(clippy::print_stdout, reason = "an example prints to stdout")]
+
 use cawosched::exact::{
     check_schedule_against_ilp, dp_polynomial, solve_exact, BnbConfig, Budget, SolverKind,
 };

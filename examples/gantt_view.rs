@@ -6,6 +6,8 @@
 //! cargo run --release --example gantt_view
 //! ```
 
+#![expect(clippy::print_stdout, reason = "an example prints to stdout")]
+
 use cawo_sim::report::render_gantt;
 use cawosched::prelude::*;
 

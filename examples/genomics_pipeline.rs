@@ -6,6 +6,8 @@
 //! cargo run --release --example genomics_pipeline
 //! ```
 
+#![expect(clippy::print_stdout, reason = "an example prints to stdout")]
+
 use cawosched::prelude::*;
 
 fn main() {

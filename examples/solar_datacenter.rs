@@ -8,6 +8,8 @@
 //! cargo run --release --example solar_datacenter
 //! ```
 
+#![expect(clippy::print_stdout, reason = "an example prints to stdout")]
+
 use cawosched::prelude::*;
 
 fn main() {

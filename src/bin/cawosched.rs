@@ -17,6 +17,8 @@
 //! iteration wall-clock and cache outcome (`cold`/`hit`) — the shape of
 //! a `cawod` daemon serving repeated queries.
 
+#![expect(clippy::print_stdout, clippy::print_stderr, reason = "a CLI binary")]
+
 use std::io::Read;
 use std::time::Instant;
 
@@ -130,7 +132,7 @@ fn usage() -> String {
     )
 }
 
-#[allow(clippy::exit)] // a CLI's usage/error path legitimately exits
+#[expect(clippy::exit, reason = "a CLI's usage/error path legitimately exits")]
 fn die(msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(2)
@@ -360,8 +362,10 @@ fn schedule_cmd(o: &Options) {
     let mut answer = None;
     for it in 1..=o.repeat {
         let _s = cawo_obs::span("cli", "query");
-        // cawo-lint: allow(wall-clock) — measures elapsed runtime for the
-        // CLI's timing printout; never feeds schedules or costs.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "measures elapsed runtime for the CLI's timing printout; never feeds schedules or costs."
+        )]
         let t0 = Instant::now();
         let (label, sched, cost, outcome) = match o.solvers.first() {
             Some(&kind) => {
