@@ -4,10 +4,10 @@
 //!   Summary, interleaved. `lp` caps the raw simplex on the 100-task
 //!   chain model at an exact pivot count (identical work at either
 //!   level, by construction); `heuristics` runs every CaWoSched variant
-//!   on the 200-task paper instance repeatedly — the `place_delta`
-//!   pricing path, where every call carries a counter bump, i.e. the
-//!   worst instrumented case. The `lp` ratio must stay under
-//!   [`MAX_RATIO`]; CI runs this section as that guard.
+//!   on the 200-task paper instance repeatedly — the local search's
+//!   `shift_scan` pricing path, one counter bump per task visit, plus
+//!   one `greedy.bound_updates` add per greedy run. The `lp` ratio
+//!   must stay under [`MAX_RATIO`]; CI runs this section as that guard.
 //! * **convergence** — the 100- and 200-task chain models through the
 //!   raw LP and the `milp` solver at Trace level under a wall-clock
 //!   budget; the drained event timeline yields the bound-vs-time and
@@ -97,7 +97,7 @@ pub fn run() {
     });
 
     // Overhead probe 2: every CaWoSched variant on the 200-task paper
-    // instance, repeated — the `place_delta` counter path.
+    // instance, repeated — the `shift_scan` and greedy counter paths.
     let wf = instantiate(
         &PaperInstance {
             family: Family::Atacseq,
@@ -197,11 +197,12 @@ pub fn run() {
         summary: obj! { "lp_overhead_ratio" => lp_ratio },
         note: "overhead = fixed-work probes; lp = raw simplex on the 100-task chain model \
                capped at an exact pivot count, heuristics = all CaWoSched variants on the \
-               200-task atacseq paper instance (the place_delta counter path); acceptance: lp \
-               ratio < max_ratio (the section fails otherwise). convergence = the 100/200-task \
-               chain models at Trace level, raw lp (Lagrangian bound sampled every 512 pivots) \
-               and milp (dual bound sampled per root cut round, incumbents on improvement); \
-               series are [t_ms_since_solve_start, value] pairs from the drained timeline",
+               200-task atacseq paper instance (the shift_scan and greedy counter paths); \
+               acceptance: lp ratio < max_ratio (the section fails otherwise). convergence = \
+               the 100/200-task chain models at Trace level, raw lp (Lagrangian bound sampled \
+               every 512 pivots) and milp (dual bound sampled per root cut round, incumbents on \
+               improvement); series are [t_ms_since_solve_start, value] pairs from the drained \
+               timeline",
     });
     assert!(
         lp_ratio < MAX_RATIO,

@@ -4,13 +4,34 @@
 //! at `T - ω(v)` and is relaxed backwards. After the greedy fixes a task
 //! at a start time, both bounds of the remaining tasks must be updated —
 //! "these updates have to be made possibly for the whole graph, and we
-//! use a precomputed topological order for this". This implementation
-//! propagates changes with worklists ordered by topological position, so
-//! the worst case matches the paper's `O(n + |Ec|)` while typical updates
-//! touch only the affected region.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! use a precomputed topological order for this".
+//!
+//! After [`Bounds::new`] and after every [`Bounds::fix`], a fixed node's
+//! bounds both equal its start, and an unfixed node `w` has
+//!
+//! * `EST(w) = max EST(u) + ω(u)` over its predecessors `u` (0 for a
+//!   source),
+//! * `LST(w) = min(T, min LST(s)) - ω(w)` over its successors `s`,
+//!   saturating at 0.
+//!
+//! Bounds only tighten, so `fix` restores this by relaxing one edge at a
+//! time: a raised `EST(u)` offers `EST(u) + ω(u)` to each unfixed
+//! successor, a lowered `LST(w)` offers `LST(w) - ω(p)` (saturating) to
+//! each unfixed predecessor `p`, and only a neighbour whose bound moved
+//! is enqueued to pass its change on.
+//!
+//! The worklist is a bitset over topological positions, sized once in
+//! [`Bounds::new`] and empty between calls. Every position enqueued lies
+//! past the one being processed — after it in the EST pass, before it in
+//! the LST pass — so each pass drains the set with one cursor that only
+//! moves forward (EST) or backward (LST) and takes each node once, after
+//! all of its neighbours that moved.
+//!
+//! A `fix` therefore costs the nodes whose bound moves, their incident
+//! edges (out-edges in the EST pass, in-edges in the LST pass) and the
+//! bitset words between the first and last of them: the paper's
+//! `O(n + |Ec|)` in the worst case, while a wide join pays `O(1)` per
+//! input that moves instead of a rescan of all its in-edges.
 
 use cawo_graph::NodeId;
 use cawo_platform::Time;
@@ -23,8 +44,12 @@ pub struct Bounds {
     est: Vec<Time>,
     lst: Vec<Time>,
     scheduled: Vec<bool>,
-    /// Topological position of every node (for ordered propagation).
+    /// Topological position of every node.
     topo_pos: Vec<u32>,
+    /// Worklist of one propagation pass, by topological position.
+    pending: TopoBitset,
+    /// EST raises plus LST drops [`Bounds::fix`] applied so far.
+    updates: u64,
     deadline: Time,
 }
 
@@ -59,6 +84,8 @@ impl Bounds {
             lst,
             scheduled: vec![false; n],
             topo_pos,
+            pending: TopoBitset::new(n),
+            updates: 0,
             deadline,
         }
     }
@@ -88,6 +115,12 @@ impl Bounds {
         self.deadline
     }
 
+    /// EST raises plus LST drops that [`Bounds::fix`] has propagated to
+    /// unfixed nodes so far: a deterministic measure of its work.
+    pub(crate) fn updates(&self) -> u64 {
+        self.updates
+    }
+
     /// True iff every node satisfies `EST <= LST` and can still finish by
     /// the deadline — i.e. the deadline is achievable (it is iff
     /// `T >= ASAP makespan`). The explicit finish check guards against
@@ -110,60 +143,115 @@ impl Bounds {
             self.lst[v as usize]
         );
         self.scheduled[v as usize] = true;
+        let raised = start > self.est[v as usize];
+        let lowered = start < self.lst[v as usize];
         self.est[v as usize] = start;
         self.lst[v as usize] = start;
+        if raised {
+            self.raise_successors(inst, v);
+            while let Some(p) = self.pending.pop_first() {
+                self.raise_successors(inst, inst.topo_order()[p]);
+            }
+        }
+        if lowered {
+            self.lower_predecessors(inst, v);
+            while let Some(p) = self.pending.pop_last() {
+                self.lower_predecessors(inst, inst.topo_order()[p]);
+            }
+        }
+    }
 
-        // Forward: raise EST of (transitive) successors.
-        let mut fwd: BinaryHeap<Reverse<(u32, NodeId)>> = BinaryHeap::new();
-        for &s in inst.dag().successors(v) {
-            fwd.push(Reverse((self.topo_pos[s as usize], s)));
-        }
-        let mut last: Option<NodeId> = None;
-        while let Some(Reverse((_, w))) = fwd.pop() {
-            if last == Some(w) {
-                continue; // deduplicate heap entries
-            }
-            last = Some(w);
-            if self.scheduled[w as usize] {
-                continue;
-            }
-            let mut e = 0;
-            for &u in inst.dag().predecessors(w) {
-                e = e.max(self.est[u as usize] + inst.exec(u));
-            }
-            if e > self.est[w as usize] {
-                self.est[w as usize] = e;
-                for &s in inst.dag().successors(w) {
-                    fwd.push(Reverse((self.topo_pos[s as usize], s)));
-                }
+    /// Offers `EST(u) + ω(u)` to every unfixed successor of `u` and
+    /// enqueues each one whose EST it raises.
+    fn raise_successors(&mut self, inst: &Instance, u: NodeId) {
+        let finish = self.est[u as usize] + inst.exec(u);
+        for &s in inst.dag().successors(u) {
+            let s = s as usize;
+            if !self.scheduled[s] && self.est[s] < finish {
+                self.est[s] = finish;
+                self.pending.insert(self.topo_pos[s] as usize);
+                self.updates += 1;
             }
         }
+    }
 
-        // Backward: lower LST of (transitive) predecessors.
-        let mut bwd: BinaryHeap<(u32, NodeId)> = BinaryHeap::new();
-        for &p in inst.dag().predecessors(v) {
-            bwd.push((self.topo_pos[p as usize], p));
-        }
-        let mut last: Option<NodeId> = None;
-        while let Some((_, w)) = bwd.pop() {
-            if last == Some(w) {
-                continue;
-            }
-            last = Some(w);
-            if self.scheduled[w as usize] {
-                continue;
-            }
-            let mut l = self.deadline.saturating_sub(inst.exec(w));
-            for &s in inst.dag().successors(w) {
-                l = l.min(self.lst[s as usize].saturating_sub(inst.exec(w)));
-            }
-            if l < self.lst[w as usize] {
-                self.lst[w as usize] = l;
-                for &p in inst.dag().predecessors(w) {
-                    bwd.push((self.topo_pos[p as usize], p));
-                }
+    /// Offers `LST(w) - ω(p)` to every unfixed predecessor `p` of `w`
+    /// and enqueues each one whose LST it lowers.
+    fn lower_predecessors(&mut self, inst: &Instance, w: NodeId) {
+        let latest_finish = self.lst[w as usize];
+        for &p in inst.dag().predecessors(w) {
+            let cand = latest_finish.saturating_sub(inst.exec(p));
+            let p = p as usize;
+            if !self.scheduled[p] && self.lst[p] > cand {
+                self.lst[p] = cand;
+                self.pending.insert(self.topo_pos[p] as usize);
+                self.updates += 1;
             }
         }
+    }
+}
+
+/// A set of topological positions, one bit each, that remembers the
+/// range of words it may hold bits in. A pass only inserts positions
+/// past the one it last popped, so the range's near end is a cursor
+/// that moves one way, and popping every position costs the words in
+/// between.
+#[derive(Debug, Clone)]
+struct TopoBitset {
+    words: Vec<u64>,
+    /// Index of the first word that may be non-zero (`usize::MAX` when
+    /// empty).
+    lo: usize,
+    /// Index of the last word that may be non-zero (0 when empty).
+    hi: usize,
+}
+
+impl TopoBitset {
+    fn new(len: usize) -> Self {
+        TopoBitset {
+            words: vec![0; len.div_ceil(64)],
+            lo: usize::MAX,
+            hi: 0,
+        }
+    }
+
+    fn insert(&mut self, p: usize) {
+        let w = p / 64;
+        self.words[w] |= 1 << (p % 64);
+        self.lo = self.lo.min(w);
+        self.hi = self.hi.max(w);
+    }
+
+    /// Removes and returns the lowest position, or `None` once empty.
+    fn pop_first(&mut self) -> Option<usize> {
+        while self.lo <= self.hi {
+            let bits = self.words[self.lo];
+            if bits != 0 {
+                self.words[self.lo] = bits & (bits - 1);
+                return Some(self.lo * 64 + bits.trailing_zeros() as usize);
+            }
+            self.lo += 1;
+        }
+        (self.lo, self.hi) = (usize::MAX, 0);
+        None
+    }
+
+    /// Removes and returns the highest position, or `None` once empty.
+    fn pop_last(&mut self) -> Option<usize> {
+        while self.lo <= self.hi {
+            let bits = self.words[self.hi];
+            if bits != 0 {
+                let b = 63 - bits.leading_zeros() as usize;
+                self.words[self.hi] = bits ^ (1 << b);
+                return Some(self.hi * 64 + b);
+            }
+            if self.hi == self.lo {
+                break;
+            }
+            self.hi -= 1;
+        }
+        (self.lo, self.hi) = (usize::MAX, 0);
+        None
     }
 }
 
@@ -308,6 +396,21 @@ mod tests {
         let starts: Vec<Time> = (0..4).map(|v| b.est(v)).collect();
         let sched = Schedule::new(starts);
         assert!(sched.validate(&inst, 14).is_ok());
+    }
+
+    #[test]
+    fn fix_counts_only_the_bounds_it_moves() {
+        let inst = chain();
+        let mut b = Bounds::new(&inst, 15);
+        b.fix(&inst, 0, 3); // raises EST(1) 5 -> 8 and EST(2) 8 -> 11
+        assert_eq!(b.updates(), 2);
+        b.fix(&inst, 2, 13); // no successors, and its LST does not move
+        assert_eq!(b.updates(), 2);
+        b.fix(&inst, 1, 9); // both bounds move, but both neighbours are fixed
+        assert_eq!(b.updates(), 2);
+        let mut d = Bounds::new(&inst, 15);
+        d.fix(&inst, 2, 8); // lowers LST(1) 10 -> 5 and LST(0) 5 -> 0
+        assert_eq!(d.updates(), 2);
     }
 
     #[test]

@@ -49,29 +49,28 @@ impl GreedyConfig {
     }
 }
 
-/// Mutable interval list with budgets (begin-sorted, half-open spans).
+/// The greedy's mutable view of the horizon: intervals with budgets,
+/// split at every placed task's start and end. Interval `i` spans
+/// `[begin[i], begin[i + 1])` and the last one ends at `horizon`, so
+/// the boundaries are stored once. Splitting inserts one entry into
+/// each vector; a placement then subtracts its power from the
+/// contiguous budget slice between its two split indices.
 struct IntervalSet {
     begin: Vec<Time>,
-    end: Vec<Time>,
     budget: Vec<i64>,
+    horizon: Time,
 }
 
 impl IntervalSet {
     fn from_boundaries(boundaries: &[Time], profile: &PowerProfile) -> Self {
         let m = boundaries.len() - 1;
-        let mut begin = Vec::with_capacity(m);
-        let mut end = Vec::with_capacity(m);
-        let mut budget = Vec::with_capacity(m);
-        for w in boundaries.windows(2) {
-            begin.push(w[0]);
-            end.push(w[1]);
-            budget.push(profile.budget_at(w[0]) as i64);
+        let begin = boundaries[..m].to_vec();
+        let budget = begin.iter().map(|&b| profile.budget_at(b) as i64).collect();
+        IntervalSet {
+            begin,
+            budget,
+            horizon: boundaries[m],
         }
-        IntervalSet { begin, end, budget }
-    }
-
-    fn len(&self) -> usize {
-        self.begin.len()
     }
 
     /// Best feasible start: the beginning `b_j ∈ [est, lst]` of the
@@ -80,54 +79,38 @@ impl IntervalSet {
     fn best_start(&self, est: Time, lst: Time) -> Option<Time> {
         let lo = self.begin.partition_point(|&b| b < est);
         let hi = self.begin.partition_point(|&b| b <= lst);
-        if lo >= hi {
-            return None;
-        }
-        let mut best = lo;
-        for i in lo + 1..hi {
-            if self.budget[i] > self.budget[best] {
-                best = i;
-            }
-        }
-        Some(self.begin[best])
+        let window = self.budget.get(lo..hi)?;
+        let best = *window.iter().max()?;
+        let i = window.iter().position(|&g| g == best)?;
+        Some(self.begin[lo + i])
     }
 
-    /// Index of the interval containing `t`.
-    fn index_of(&self, t: Time) -> usize {
-        debug_assert!(self.end.last().is_some_and(|&last| t < last));
-        self.begin.partition_point(|&b| b <= t) - 1
-    }
-
-    /// Splits the interval containing `t` at `t` (no-op if `t` is
-    /// already a boundary). Returns the index of the interval that now
-    /// *starts* at `t`.
+    /// Splits the interval containing `t < horizon` at `t` (no-op if
+    /// `t` is already a boundary). Returns the index of the interval
+    /// that now *starts* at `t`.
     fn split_at(&mut self, t: Time) -> usize {
-        let i = self.index_of(t);
+        debug_assert!(t < self.horizon);
+        let i = self.begin.partition_point(|&b| b <= t) - 1;
         if self.begin[i] == t {
             return i;
         }
-        let e = self.end[i];
-        let g = self.budget[i];
-        self.end[i] = t;
         self.begin.insert(i + 1, t);
-        self.end.insert(i + 1, e);
-        self.budget.insert(i + 1, g);
+        self.budget.insert(i + 1, self.budget[i]);
         i + 1
     }
 
     /// Registers a task occupying `[s, e)` with unit power `p`: splits
     /// the boundary intervals and decrements every covered budget.
     fn occupy(&mut self, s: Time, e: Time, p: i64) {
-        debug_assert!(s < e);
+        debug_assert!(s < e && e <= self.horizon);
         let first = self.split_at(s);
-        // Splitting at `e` only when `e` lies strictly inside the horizon.
-        if self.end.last().is_some_and(|&last| e < last) {
-            self.split_at(e);
-        }
-        let mut i = first;
-        while i < self.len() && self.begin[i] < e {
-            self.budget[i] -= p;
-            i += 1;
+        let last = if e < self.horizon {
+            self.split_at(e)
+        } else {
+            self.budget.len()
+        };
+        for g in &mut self.budget[first..last] {
+            *g -= p;
         }
     }
 }
@@ -159,6 +142,7 @@ pub fn greedy_schedule(inst: &Instance, profile: &PowerProfile, cfg: GreedyConfi
         bounds.fix(inst, v, s);
         ivals.occupy(s, s + inst.exec(v), inst.unit_total_power(v) as i64);
     }
+    cawo_obs::add(cawo_obs::Ctr::GreedyBoundUpdates, bounds.updates());
     Schedule::new(start)
 }
 

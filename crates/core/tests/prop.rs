@@ -65,6 +65,82 @@ fn scan_and_pointwise<E: CostEngine>(
     (scan, pointwise)
 }
 
+/// A random DAG of `n` nodes with one join of in-degree ≥ 64 and one
+/// fork of out-degree ≥ 64, on a single unit. Node ids are a random
+/// permutation of topological positions, so a node's id says nothing
+/// about its place in the order; the returned `order` (position →
+/// node) is topological by construction.
+fn wide_instance(n: usize, next: &mut impl FnMut() -> u64) -> (Instance, Vec<NodeId>) {
+    let mut order: Vec<NodeId> = (0..n as NodeId).collect();
+    for i in (1..n).rev() {
+        order.swap(i, next() as usize % (i + 1));
+    }
+    let mut b = DagBuilder::new(n);
+    for v in 1..n {
+        for _ in 0..next() % 4 {
+            b.add_edge(order[next() as usize % v], order[v]);
+        }
+    }
+    let join = 64 + next() as usize % (n - 64);
+    for u in sample_at_least_64(join, next) {
+        b.add_edge(order[u], order[join]);
+    }
+    let fork = next() as usize % (n - 64);
+    for w in sample_at_least_64(n - fork - 1, next) {
+        b.add_edge(order[fork], order[fork + 1 + w]);
+    }
+    let exec = (0..n).map(|_| 1 + next() % 7).collect();
+    let unit = UnitInfo {
+        p_idle: 0,
+        p_work: 1,
+        is_link: false,
+    };
+    let inst = Instance::from_raw(b.build().unwrap(), exec, vec![0; n], vec![unit], 0);
+    (inst, order)
+}
+
+/// Between 64 and `m` distinct values of `0..m`, by a partial shuffle.
+fn sample_at_least_64(m: usize, next: &mut impl FnMut() -> u64) -> Vec<usize> {
+    let mut pool: Vec<usize> = (0..m).collect();
+    let k = 64 + next() as usize % (m - 63);
+    for i in 0..k {
+        pool.swap(i, i + next() as usize % (m - i));
+    }
+    pool.truncate(k);
+    pool
+}
+
+/// EST/LST recomputed in full: the two passes of `Bounds::new`
+/// over the topological `order`, with every fixed node pinned to its
+/// start.
+fn bounds_recomputed(
+    inst: &Instance,
+    order: &[NodeId],
+    fixed: &[Option<Time>],
+    deadline: Time,
+) -> (Vec<Time>, Vec<Time>) {
+    let n = inst.node_count();
+    let mut est = vec![0; n];
+    for &v in order {
+        est[v as usize] = fixed[v as usize].unwrap_or_else(|| {
+            let preds = inst.dag().predecessors(v).iter();
+            preds
+                .map(|&u| est[u as usize] + inst.exec(u))
+                .max()
+                .unwrap_or(0)
+        });
+    }
+    let mut lst = vec![0; n];
+    for &v in order.iter().rev() {
+        lst[v as usize] = fixed[v as usize].unwrap_or_else(|| {
+            let succs = inst.dag().successors(v).iter();
+            let latest_finish = succs.map(|&s| lst[s as usize]).fold(deadline, Time::min);
+            latest_finish.saturating_sub(inst.exec(v))
+        });
+    }
+    (est, lst)
+}
+
 fn raw_instance(max_n: usize) -> impl Strategy<Value = RawInstance> {
     (2..max_n).prop_flat_map(|n| {
         let edges = proptest::collection::vec(
@@ -328,6 +404,45 @@ proptest! {
         // The fixed starts form a valid schedule.
         let sched = Schedule::new((0..n as NodeId).map(|v| bounds.est(v)).collect());
         prop_assert!(sched.validate(&inst, deadline).is_ok());
+    }
+
+    #[test]
+    fn bounds_match_a_full_recomputation_after_every_fix(
+        n in 65usize..=300,
+        seed in any::<u64>(),
+    ) {
+        let mut state = seed;
+        let mut next = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let (inst, order) = wide_instance(n, &mut next);
+        let makespan = inst.asap_makespan();
+        let deadline = makespan + next() % (makespan + 1);
+        let mut bounds = Bounds::new(&inst, deadline);
+        let mut fixed = vec![None; n];
+        let current = |b: &Bounds| -> (Vec<Time>, Vec<Time>) {
+            (0..n as NodeId).map(|v| (b.est(v), b.lst(v))).unzip()
+        };
+        prop_assert_eq!(current(&bounds), bounds_recomputed(&inst, &order, &fixed, deadline));
+        // Fix every node at a random point of its window, in a
+        // scrambled order.
+        let mut fix_order: Vec<NodeId> = (0..n as NodeId).collect();
+        for i in (1..n).rev() {
+            fix_order.swap(i, next() as usize % (i + 1));
+        }
+        for v in fix_order {
+            let (est, lst) = (bounds.est(v), bounds.lst(v));
+            prop_assert!(est <= lst, "window of {} empty: [{}, {}]", v, est, lst);
+            let start = est + next() % (lst - est + 1);
+            bounds.fix(&inst, v, start);
+            fixed[v as usize] = Some(start);
+            prop_assert_eq!(
+                current(&bounds),
+                bounds_recomputed(&inst, &order, &fixed, deadline),
+                "(EST, LST) after fixing {} at {}", v, start
+            );
+        }
     }
 
     #[test]

@@ -232,6 +232,9 @@ pub enum Ctr {
     EnginePriceInterval,
     /// `place_delta` pricing calls answered by `FenwickEngine`.
     EnginePriceFenwick,
+    /// EST raises plus LST drops the greedy's `Bounds::fix` propagated
+    /// (`cawo_core::greedy`), added once per greedy run.
+    GreedyBoundUpdates,
     /// Exact-key cache hits (`cawo_cache`).
     CacheHit,
     /// Warm-state re-solves / incremental re-answers.
@@ -248,7 +251,7 @@ pub enum Ctr {
 
 impl Ctr {
     /// Every counter, in declaration order.
-    pub const ALL: [Ctr; 26] = [
+    pub const ALL: [Ctr; 27] = [
         Ctr::LpPivotsPhase1,
         Ctr::LpPivotsPhase2,
         Ctr::LpPivotsDual,
@@ -269,6 +272,7 @@ impl Ctr {
         Ctr::EnginePriceDense,
         Ctr::EnginePriceInterval,
         Ctr::EnginePriceFenwick,
+        Ctr::GreedyBoundUpdates,
         Ctr::CacheHit,
         Ctr::CacheWarm,
         Ctr::CacheCold,
@@ -303,6 +307,7 @@ impl Ctr {
             Ctr::EnginePriceDense => "engine.price.dense",
             Ctr::EnginePriceInterval => "engine.price.interval",
             Ctr::EnginePriceFenwick => "engine.price.fenwick",
+            Ctr::GreedyBoundUpdates => "greedy.bound_updates",
             Ctr::CacheHit => "cache.hit",
             Ctr::CacheWarm => "cache.warm",
             Ctr::CacheCold => "cache.cold",

@@ -1,15 +1,20 @@
-//! Paper-scale pin of the `-LS` hill climber: the summed
-//! [`LocalSearchStats`] of the eight local-search variants over the
-//! whole quick grid at one seed. The counts are deterministic and do
-//! not depend on the host, so any change to how candidates are priced
-//! or accepted that alters a single move shows up here — a pricing
-//! speed-up must leave them untouched.
+//! Paper-scale pins of the heuristics: the summed [`LocalSearchStats`]
+//! of the eight local-search variants over the whole quick grid at one
+//! seed, and the schedules of the eight greedy-only variants on one
+//! large instance. Both are deterministic and do not depend on the
+//! host, so any change to how candidates are priced or accepted, or to
+//! the greedy's EST/LST bookkeeping, that alters a single move or
+//! start shows up here — a speed-up must leave them untouched.
 
 use std::collections::BTreeMap;
 
-use cawo_core::{greedy_schedule, local_search, GreedyConfig, Instance, LocalSearchStats, Variant};
-use cawo_graph::generator::{self, PaperInstance};
+use cawo_core::{
+    carbon_cost, greedy_schedule, local_search, GreedyConfig, Instance, LocalSearchStats, Variant,
+};
+use cawo_graph::generator::{self, Family, PaperInstance};
+use cawo_graph::NodeId;
 use cawo_heft::heft_schedule;
+use cawo_platform::{Cluster, DeadlineFactor, ProfileConfig, Scenario};
 use cawo_sim::experiment::{build_profile, ExperimentConfig, GridScale};
 use rayon::prelude::*;
 
@@ -63,4 +68,45 @@ fn quick_grid_local_search_stats_are_pinned() {
     });
     assert_eq!(specs.len(), 112);
     assert_eq!(total, PINNED, "(rounds, moves, gain) over the quick grid");
+}
+
+/// Summed carbon cost and start-time checksum of the eight greedy-only
+/// variants on atacseq scaled to 2 000 tasks — small cluster, S1, ×1.5,
+/// all at fixture seed 1. Its `Gc` has 4 774 nodes and a join of
+/// in-degree 571, so the EST/LST propagation runs across many bitset
+/// words and through a wide join, which the quick grid (joins of
+/// in-degree ≤ 67) does not reach. Recorded with the heap-ordered
+/// propagation that preceded edge relaxation.
+const GREEDY_PINNED: (u64, u64) = (1_815_830, 11_262_343_965_072_688_116);
+
+#[test]
+fn large_greedy_schedules_are_pinned() {
+    let wf = generator::instantiate(
+        &PaperInstance {
+            family: Family::Atacseq,
+            scaled_to: Some(2_000),
+        },
+        SEED,
+    );
+    let cluster = Cluster::paper_small(SEED);
+    let inst = Instance::build(&wf, &cluster, &heft_schedule(&wf, &cluster));
+    assert_eq!(inst.node_count(), 4_774);
+    let widest = (0..inst.node_count() as NodeId)
+        .map(|v| inst.dag().predecessors(v).len())
+        .max();
+    assert_eq!(widest, Some(571), "in-degree of the widest join");
+    let profile = ProfileConfig::new(Scenario::SolarMorning, DeadlineFactor::X15, SEED)
+        .build(&cluster, inst.asap_makespan());
+    let greedy_only = Variant::CAWOSCHED.iter().filter(|v| !v.has_local_search());
+    let (mut cost, mut checksum) = (0u64, 0xCBF2_9CE4_8422_2325_u64);
+    for &v in greedy_only {
+        let sched = v.run(&inst, &profile);
+        assert!(sched.validate(&inst, profile.deadline()).is_ok(), "{v}");
+        cost += carbon_cost(&inst, &sched, &profile);
+        // FNV-1a over every start time, in variant then node order.
+        for &s in sched.starts() {
+            checksum = (checksum ^ s).wrapping_mul(0x0100_0000_01B3);
+        }
+    }
+    assert_eq!((cost, checksum), GREEDY_PINNED, "(cost, start checksum)");
 }

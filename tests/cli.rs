@@ -59,6 +59,41 @@ fn schedule_prints_csv_rows() {
 }
 
 #[test]
+fn schedule_profile_counts_greedy_bound_updates() {
+    let out = bin()
+        .args([
+            "schedule",
+            "--family",
+            "atacseq",
+            "--tasks",
+            "50",
+            "--seed",
+            "9",
+            "--variant",
+            "pressWR",
+            "--scenario",
+            "S1",
+            "--deadline",
+            "2",
+            "--profile",
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    let updates: u64 = stderr
+        .lines()
+        .find_map(|l| l.strip_prefix("greedy.bound_updates"))
+        .and_then(|count| count.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no greedy.bound_updates row in\n{stderr}"));
+    assert!(updates > 0, "the greedy reported no propagation work");
+}
+
+#[test]
 fn schedule_gantt_mode() {
     let out = bin()
         .args(["schedule", "--tasks", "20", "--gantt", "--deadline", "3"])
