@@ -6,7 +6,7 @@
 //!   capped rows report the Lagrangian dual bound proven by then
 //!   instead of a stale primal objective.
 //! * **headline** — the paper-grid 200-task instance (Fig. 7 regime):
-//!   `--solver lp` and `--solver milp` through the `Solver` registry
+//!   `--solver lp` and `--solver milp` through the `SolverKind` registry
 //!   under a 60 s budget, with status, bound, cost and root-cut counts.
 //! * **threads** — the headline's compact model (over 2 M nonzeros plus
 //!   rows, past the parallel work gate) solved cold on dedicated
@@ -96,7 +96,7 @@ pub fn run() {
     let model = SparseA4Model::build(&inst, &profile);
     let budget = Budget::time(Duration::from_secs(60));
     for kind in [SolverKind::Lp, SolverKind::Milp] {
-        let (res, secs) = once(|| kind.build().solve(&inst, &profile, budget));
+        let (res, secs) = once(|| kind.solve(&inst, &profile, budget));
         let (status, cost, lb, stats) = match &res {
             Ok(r) => (
                 r.status.name().to_string(),

@@ -19,7 +19,7 @@ use cawo_bench::fixtures::lp_chain_fixture;
 use cawo_bench::obj;
 use cawo_bench::report::{min_interleaved, once, Artifact, Probe};
 use cawo_core::{carbon_cost, EngineKind, Instance, RunParams, Variant};
-use cawo_exact::{Budget, SolverKind, SparseA4Model};
+use cawo_exact::{Budget, SolverKind, SparseA4Model, WarmStart};
 use cawo_graph::generator::{instantiate, Family, PaperInstance};
 use cawo_heft::heft_schedule;
 use cawo_lp::SimplexOptions;
@@ -167,8 +167,13 @@ pub fn run() {
         let (inst, profile) = lp_chain_fixture(tasks, 2 * tasks as Time, 6, &[0, 4]);
         let (res, secs, snap, t0_us) = traced(|| {
             SolverKind::Milp
-                .build_with_engine(EngineKind::Interval)
-                .solve(&inst, &profile, Budget::time(Duration::from_secs(budget_s)))
+                .solve_with(
+                    EngineKind::Interval,
+                    &inst,
+                    &profile,
+                    Budget::time(Duration::from_secs(budget_s)),
+                    &WarmStart::default(),
+                )
                 .expect("chain instance solves")
         });
         results.push(obj! {

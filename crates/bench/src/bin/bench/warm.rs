@@ -104,7 +104,6 @@ pub fn run() {
     ) / f64::from(HIT_ITERS);
     results.push(row("solve", "re-query", "hit", t_hit, first.cost));
 
-    let solver = kind.build_with_engine(engine);
     let seed = WarmStart {
         incumbent: Some(first.schedule.clone()),
         basis: first.basis.clone(),
@@ -114,11 +113,15 @@ pub fn run() {
         ROUNDS,
         &mut [
             Box::new(|| {
-                let res = solver.solve_warm(&inst, &new, budget, &seed).expect("warm");
+                let res = kind
+                    .solve_with(engine, &inst, &new, budget, &seed)
+                    .expect("warm");
                 sum(warm.insert(res))
             }),
             Box::new(|| {
-                let res = solver.solve(&inst, &new, budget).expect("cold");
+                let res = kind
+                    .solve_with(engine, &inst, &new, budget, &WarmStart::default())
+                    .expect("cold");
                 sum(cold.insert(res))
             }),
         ],

@@ -208,10 +208,11 @@ impl SolveCache {
 
     /// Runs (or serves) one exact-solver query through the cache.
     ///
-    /// Same contract as [`cawo_exact::Solver::solve`] with the solver
-    /// built via [`SolverKind::build_with_engine`]; the second tuple
-    /// field reports where the answer came from. Errors are returned
-    /// verbatim and never cached.
+    /// Same contract as [`SolverKind::solve_with`] on `engine`: a miss
+    /// runs the method seeded with the warm state cached for the same
+    /// instance and query under another profile, or cold when there is
+    /// none. The second tuple field reports where the answer came from.
+    /// Errors are returned verbatim and never cached.
     pub fn solve(
         &self,
         kind: SolverKind,
@@ -243,16 +244,15 @@ impl SolveCache {
                 basis: seed.basis,
             });
 
-        let solver = kind.build_with_engine(engine);
         let (result, outcome) = match warm {
             Some(warm) if !warm.is_empty() => {
-                let res = solver.solve_warm(inst, profile, budget, &warm)?;
+                let res = kind.solve_with(engine, inst, profile, budget, &warm)?;
                 self.warm.fetch_add(1, Ordering::Relaxed);
                 cawo_obs::inc(cawo_obs::Ctr::CacheWarm);
                 (res, CacheOutcome::Warm)
             }
             _ => {
-                let res = solver.solve(inst, profile, budget)?;
+                let res = kind.solve_with(engine, inst, profile, budget, &WarmStart::default())?;
                 self.cold.fetch_add(1, Ordering::Relaxed);
                 cawo_obs::inc(cawo_obs::Ctr::CacheCold);
                 (res, CacheOutcome::Cold)

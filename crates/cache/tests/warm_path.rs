@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 use cawo_cache::{instance_fingerprint, CacheOutcome, SolveCache};
 use cawo_core::enhanced::UnitInfo;
 use cawo_core::{carbon_cost, reanswer_cost, EngineKind, Instance, Variant};
-use cawo_exact::{Budget, SolverKind};
+use cawo_exact::{Budget, SolverKind, WarmStart};
 use cawo_graph::dag::DagBuilder;
 use cawo_platform::{
     Cluster, DeadlineFactor, PowerProfile, ProfileConfig, Scenario, TraceConfig, TraceSource,
@@ -239,8 +239,7 @@ fn warm_started_exact_solves_reach_the_cold_optimum() {
         assert_eq!(seed_outcome, CacheOutcome::Cold, "{kind:?}");
         for (name, profile) in &zoo {
             let cold = kind
-                .build_with_engine(engine)
-                .solve(&inst, profile, budget)
+                .solve_with(engine, &inst, profile, budget, &WarmStart::default())
                 .unwrap_or_else(|e| panic!("{kind:?} cold on {name}: {e}"));
             let (warmed, outcome) = cache
                 .solve(kind, engine, &inst, profile, budget)

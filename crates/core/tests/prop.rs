@@ -1,6 +1,6 @@
 //! Property-based tests for the scheduling core: cost-engine
 //! equivalence, bounds consistency, schedule validity of every variant,
-//! and local-search monotonicity — the invariants listed in DESIGN.md §7.
+//! and local-search monotonicity.
 
 #![expect(clippy::unwrap_used, reason = "fixture helpers outside #[test] unwrap")]
 use proptest::prelude::*;

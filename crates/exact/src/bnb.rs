@@ -1,6 +1,7 @@
 //! Exact branch-and-bound solver over task start times.
 //!
-//! Substitutes the paper's Gurobi runs (see DESIGN.md, Substitution 1).
+//! Substitutes the paper's Gurobi runs (docs/ARCHITECTURE.md,
+//! "Substitutions").
 //! The search assigns start times to `Gc` nodes in topological order.
 //! For a node `v` the candidate starts are the integers in
 //! `[max placed-preds finish, LST(v)]` (the static LST w.r.t. the
@@ -39,10 +40,7 @@ use cawo_core::{
 use cawo_graph::NodeId;
 use cawo_platform::{PowerProfile, Time};
 
-use crate::solver::{
-    require_feasible, warm_incumbent, Budget, SolveError, SolveResult, SolveStats, SolveStatus,
-    Solver, WarmStart,
-};
+use crate::solver::{warm_incumbent, Budget, SolveResult, SolveStats, SolveStatus, WarmStart};
 
 /// Which start times a node may branch over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -640,94 +638,46 @@ pub fn solve_exact_on<E: CostEngine + Clone + Send + Sync>(
     }
 }
 
-/// The branch-and-bound method as a [`Solver`]: optimal on any
-/// instance, subject to the budget (with [`CandidateMode::Auto`]
-/// pruning the branching factor to `O(n·J)` where that is provably
-/// lossless).
-#[derive(Debug, Clone, Copy)]
-pub struct BnbSolver {
-    /// Cost-engine backend pricing the placements.
-    pub engine: EngineKind,
-    /// Parallel tree exploration on the current `cawo_par` pool (see
-    /// [`BnbConfig::parallel`]); a no-op on a 1-thread pool. Defaults
-    /// to `true`, so the solver-registry path — grid runs, the CLI —
-    /// picks up pool parallelism automatically.
-    pub parallel: bool,
-}
-
-impl Default for BnbSolver {
-    fn default() -> Self {
-        BnbSolver {
-            engine: EngineKind::default(),
-            parallel: true,
-        }
-    }
-}
-
-impl Solver for BnbSolver {
-    fn name(&self) -> &'static str {
-        "bnb"
-    }
-
-    fn solve(
-        &self,
-        inst: &Instance,
-        profile: &PowerProfile,
-        budget: Budget,
-    ) -> Result<SolveResult, SolveError> {
-        self.solve_inner(inst, profile, budget, &WarmStart::default())
-    }
-
-    fn solve_warm(
-        &self,
-        inst: &Instance,
-        profile: &PowerProfile,
-        budget: Budget,
-        warm: &WarmStart,
-    ) -> Result<SolveResult, SolveError> {
-        self.solve_inner(inst, profile, budget, warm)
-    }
-}
-
-impl BnbSolver {
-    fn solve_inner(
-        &self,
-        inst: &Instance,
-        profile: &PowerProfile,
-        budget: Budget,
-        warm: &WarmStart,
-    ) -> Result<SolveResult, SolveError> {
-        require_feasible(inst, profile)?;
-        // A warm incumbent (cache hit on a related query) tightens the
-        // initial upper bound, which is the main pruning lever of this
-        // search; the LP basis hint does not apply to a combinatorial
-        // method and is ignored.
-        let (incumbent, _) = warm_incumbent(inst, profile, warm);
-        let config = BnbConfig {
-            budget,
-            incumbent: Some(incumbent),
-            parallel: self.parallel,
-            ..BnbConfig::default()
-        };
-        let res = match self.engine {
-            EngineKind::Dense => solve_exact_on::<DenseGrid>(inst, profile, config),
-            EngineKind::Interval => solve_exact_on::<IntervalEngine>(inst, profile, config),
-            EngineKind::Fenwick => solve_exact_on::<FenwickEngine>(inst, profile, config),
-        };
-        let lower_bound = res.optimal.then_some(res.cost);
-        Ok(SolveResult {
-            schedule: res.schedule,
-            cost: res.cost,
-            status: if res.optimal {
-                SolveStatus::Optimal
-            } else {
-                SolveStatus::TimedOut
-            },
-            nodes: res.nodes,
-            lower_bound,
-            stats: SolveStats::default(),
-            basis: None,
-        })
+/// The registry's `bnb` entry: optimal on any instance, subject to the
+/// budget. Prices on `engine` and explores the tree on the current
+/// `cawo_par` pool (see [`BnbConfig::parallel`]; a no-op on a 1-thread
+/// pool).
+pub(crate) fn solve(
+    engine: EngineKind,
+    inst: &Instance,
+    profile: &PowerProfile,
+    budget: Budget,
+    warm: &WarmStart,
+) -> SolveResult {
+    // A warm incumbent (cache hit on a related query) tightens the
+    // initial upper bound, which is the main pruning lever of this
+    // search; the LP basis hint does not apply to a combinatorial
+    // method and is ignored.
+    let (incumbent, _) = warm_incumbent(inst, profile, warm);
+    let config = BnbConfig {
+        budget,
+        incumbent: Some(incumbent),
+        parallel: true,
+        ..BnbConfig::default()
+    };
+    let res = match engine {
+        EngineKind::Dense => solve_exact_on::<DenseGrid>(inst, profile, config),
+        EngineKind::Interval => solve_exact_on::<IntervalEngine>(inst, profile, config),
+        EngineKind::Fenwick => solve_exact_on::<FenwickEngine>(inst, profile, config),
+    };
+    let lower_bound = res.optimal.then_some(res.cost);
+    SolveResult {
+        schedule: res.schedule,
+        cost: res.cost,
+        status: if res.optimal {
+            SolveStatus::Optimal
+        } else {
+            SolveStatus::TimedOut
+        },
+        nodes: res.nodes,
+        lower_bound,
+        stats: SolveStats::default(),
+        basis: None,
     }
 }
 
@@ -919,14 +869,14 @@ mod tests {
     }
 
     #[test]
-    fn solver_trait_reports_status() {
-        use crate::solver::Solver;
+    fn registry_entry_reports_status() {
+        use crate::solver::{SolveError, SolverKind};
         let inst = chain_instance(vec![2, 2], 0, 3);
         let profile = PowerProfile::from_parts(vec![0, 4, 10], vec![0, 4]);
-        let res = BnbSolver::default()
+        let res = SolverKind::Bnb
             .solve(&inst, &profile, Budget::default())
             .unwrap();
-        assert_eq!(res.status, crate::solver::SolveStatus::Optimal);
+        assert_eq!(res.status, SolveStatus::Optimal);
         assert_eq!(res.lower_bound, Some(res.cost));
         assert_eq!(
             res.cost,
@@ -934,16 +884,16 @@ mod tests {
             "reported cost must match the returned schedule"
         );
         // An exhausted budget degrades to a timed-out incumbent.
-        let tight = BnbSolver::default()
+        let tight = SolverKind::Bnb
             .solve(&inst, &profile, Budget::nodes(1))
             .unwrap();
-        assert_eq!(tight.status, crate::solver::SolveStatus::TimedOut);
+        assert_eq!(tight.status, SolveStatus::TimedOut);
         assert!(tight.cost >= res.cost);
         // An infeasible deadline is reported, not panicked on.
         let short = PowerProfile::uniform(3, 5);
         assert!(matches!(
-            BnbSolver::default().solve(&inst, &short, Budget::default()),
-            Err(crate::solver::SolveError::Infeasible(_))
+            SolverKind::Bnb.solve(&inst, &short, Budget::default()),
+            Err(SolveError::Infeasible(_))
         ));
     }
 

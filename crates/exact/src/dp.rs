@@ -27,8 +27,7 @@ use cawo_graph::NodeId;
 use cawo_platform::{PowerProfile, Time};
 
 use crate::solver::{
-    heuristic_incumbent, require_feasible, Budget, SolveError, SolveResult, SolveStats,
-    SolveStatus, Solver,
+    heuristic_incumbent, Budget, SolveError, SolveResult, SolveStats, SolveStatus,
 };
 
 /// Result of an exact uniprocessor optimisation.
@@ -51,24 +50,10 @@ fn single_chain(inst: &Instance) -> (Vec<NodeId>, u64) {
 }
 
 /// The pseudo-polynomial DP (Eq. (1) plus idle-gap cost). `O(n·T)` time
-/// and memory; only suitable for moderate horizons.
+/// and memory; only suitable for moderate horizons. Not a registry
+/// entry: it is the independent oracle that [`dp_polynomial`] is
+/// tested against.
 pub fn dp_pseudo_polynomial(inst: &Instance, profile: &PowerProfile) -> DpResult {
-    #[expect(
-        clippy::expect_used,
-        reason = "with no budget the budgeted DP cannot time out, so it always returns Some."
-    )]
-    let (res, _) = dp_pseudo_budgeted(inst, profile, None).expect("no deadline given");
-    res
-}
-
-/// [`dp_pseudo_polynomial`] with a wall-clock deadline: returns `None`
-/// (abandoning the table) when the clock runs out between chain
-/// positions. The second tuple element counts evaluated DP cells.
-fn dp_pseudo_budgeted(
-    inst: &Instance,
-    profile: &PowerProfile,
-    wall_deadline: Option<Instant>,
-) -> Option<(DpResult, u64)> {
     let (chain, p_work) = single_chain(inst);
     let horizon = profile.deadline();
     let idle = inst.total_idle_power();
@@ -82,18 +67,9 @@ fn dp_pseudo_budgeted(
     // opt[t] = best cost for the prefix ending exactly at t (current i).
     let mut opt = vec![INF; t_max + 1];
     let mut parents: Vec<Vec<u32>> = Vec::with_capacity(n);
-    let mut cells: u64 = 0;
 
     let mut prefix_exec: Time = 0;
     for (i, &v) in chain.iter().enumerate() {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "enforcing the opt-in time budget."
-        )]
-        if wall_deadline.is_some_and(|d| Instant::now() >= d) {
-            return None;
-        }
-        cells += t_max as u64 + 1;
         let w = inst.exec(v);
         prefix_exec += w;
         let mut next = vec![INF; t_max + 1];
@@ -164,13 +140,10 @@ fn dp_pseudo_budgeted(
         let p = parents[i][end as usize];
         end = if i == 0 { 0 } else { p as Time };
     }
-    Some((
-        DpResult {
-            cost: best_cost,
-            schedule: Schedule::new(start),
-        },
-        cells,
-    ))
+    DpResult {
+        cost: best_cost,
+        schedule: Schedule::new(start),
+    }
 }
 
 /// Candidate end times for each task position per Appendix A.2: for
@@ -238,8 +211,9 @@ pub fn dp_polynomial(inst: &Instance, profile: &PowerProfile) -> DpResult {
     res
 }
 
-/// [`dp_polynomial`] with a wall-clock deadline; see
-/// [`dp_pseudo_budgeted`].
+/// [`dp_polynomial`] with a wall-clock deadline: returns `None`
+/// (abandoning the table) when the clock runs out between chain
+/// positions. The second tuple element counts evaluated DP cells.
 fn dp_polynomial_budgeted(
     inst: &Instance,
     profile: &PowerProfile,
@@ -350,76 +324,40 @@ fn dp_polynomial_budgeted(
     ))
 }
 
-/// The uniprocessor dynamic programs as a [`Solver`]: optimal on
-/// single-chain instances, [`SolveError::Unsupported`] otherwise.
-#[derive(Debug, Clone, Copy)]
-pub struct DpSolver {
-    /// `true` runs the pseudo-polynomial `Opt(i, t)` table; `false`
-    /// (the default) the E-schedule-restricted polynomial DP.
-    pub pseudo: bool,
-}
-
-impl DpSolver {
-    /// The polynomial (E-schedule candidate set) variant.
-    pub fn polynomial() -> Self {
-        DpSolver { pseudo: false }
-    }
-
-    /// The pseudo-polynomial (per-time-unit table) variant.
-    pub fn pseudo() -> Self {
-        DpSolver { pseudo: true }
-    }
-}
-
-impl Solver for DpSolver {
-    fn name(&self) -> &'static str {
-        if self.pseudo {
-            "dp-pseudo"
-        } else {
-            "dp"
-        }
-    }
-
-    fn solve(
-        &self,
-        inst: &Instance,
-        profile: &PowerProfile,
-        budget: Budget,
-    ) -> Result<SolveResult, SolveError> {
-        require_feasible(inst, profile)?;
-        crate::solver::single_chain(inst)?;
-        let wall_deadline = budget.deadline_from_now();
-        let run = if self.pseudo {
-            dp_pseudo_budgeted(inst, profile, wall_deadline)
-        } else {
-            dp_polynomial_budgeted(inst, profile, wall_deadline)
-        };
-        Ok(match run {
-            Some((res, cells)) => SolveResult {
-                cost: res.cost,
-                lower_bound: Some(res.cost),
-                schedule: res.schedule,
-                status: SolveStatus::Optimal,
-                nodes: cells,
+/// The registry's `dp` entry: the polynomial DP, optimal on
+/// single-chain instances and [`SolveError::Unsupported`] otherwise.
+pub(crate) fn solve(
+    inst: &Instance,
+    profile: &PowerProfile,
+    budget: Budget,
+) -> Result<SolveResult, SolveError> {
+    crate::solver::single_chain(inst)?;
+    let run = dp_polynomial_budgeted(inst, profile, budget.deadline_from_now());
+    Ok(match run {
+        Some((res, cells)) => SolveResult {
+            cost: res.cost,
+            lower_bound: Some(res.cost),
+            schedule: res.schedule,
+            status: SolveStatus::Optimal,
+            nodes: cells,
+            stats: SolveStats::default(),
+            basis: None,
+        },
+        None => {
+            // The table was abandoned mid-build; there is no DP
+            // incumbent, so fall back to the heuristic one.
+            let (schedule, cost) = heuristic_incumbent(inst, profile);
+            SolveResult {
+                schedule,
+                cost,
+                status: SolveStatus::TimedOut,
+                nodes: 0,
+                lower_bound: None,
                 stats: SolveStats::default(),
                 basis: None,
-            },
-            None => {
-                // The table was abandoned mid-build; there is no DP
-                // incumbent, so fall back to the heuristic one.
-                let (schedule, cost) = heuristic_incumbent(inst, profile);
-                SolveResult {
-                    schedule,
-                    cost,
-                    status: SolveStatus::TimedOut,
-                    nodes: 0,
-                    lower_bound: None,
-                    stats: SolveStats::default(),
-                    basis: None,
-                }
             }
-        })
-    }
+        }
+    })
 }
 
 #[cfg(test)]
@@ -450,22 +388,23 @@ mod tests {
     }
 
     #[test]
-    fn solver_trait_wraps_both_dps() {
+    fn registry_entry_reports_cells_and_status() {
+        use crate::solver::SolverKind;
         let inst = chain_instance(vec![3, 2], 0, 4);
         let profile = PowerProfile::from_parts(vec![0, 3, 8, 12], vec![0, 4, 1]);
-        for solver in [DpSolver::polynomial(), DpSolver::pseudo()] {
-            let res = solver.solve(&inst, &profile, Budget::default()).unwrap();
-            assert_eq!(res.status, SolveStatus::Optimal);
-            assert_eq!(res.cost, carbon_cost(&inst, &res.schedule, &profile));
-            assert_eq!(res.lower_bound, Some(res.cost));
-            assert!(res.nodes > 0, "DP cells are reported");
-        }
-        assert_eq!(DpSolver::polynomial().name(), "dp");
-        assert_eq!(DpSolver::pseudo().name(), "dp-pseudo");
+        let res = SolverKind::Dp
+            .solve(&inst, &profile, Budget::default())
+            .unwrap();
+        assert_eq!(res.status, SolveStatus::Optimal);
+        assert_eq!(res.cost, carbon_cost(&inst, &res.schedule, &profile));
+        assert_eq!(res.lower_bound, Some(res.cost));
+        assert!(res.nodes > 0, "DP cells are reported");
+        assert_eq!(res.cost, dp_pseudo_polynomial(&inst, &profile).cost);
     }
 
     #[test]
-    fn solver_rejects_multi_unit_and_infeasible_instances() {
+    fn registry_entry_rejects_multi_unit_and_infeasible_instances() {
+        use crate::solver::SolverKind;
         let dag = DagBuilder::new(2).build().unwrap();
         let multi = Instance::from_raw(
             dag,
@@ -487,13 +426,13 @@ mod tests {
         );
         let profile = PowerProfile::uniform(5, 1);
         assert!(matches!(
-            DpSolver::polynomial().solve(&multi, &profile, Budget::default()),
+            SolverKind::Dp.solve(&multi, &profile, Budget::default()),
             Err(SolveError::Unsupported(_))
         ));
         let uni = chain_instance(vec![4, 4], 0, 1);
         let tight = PowerProfile::uniform(5, 1); // deadline < total exec
         assert!(matches!(
-            DpSolver::pseudo().solve(&uni, &tight, Budget::default()),
+            SolverKind::Dp.solve(&uni, &tight, Budget::default()),
             Err(SolveError::Infeasible(_))
         ));
     }

@@ -18,16 +18,9 @@
 //! `O(block size · breakpoints touched)` on the interval backend,
 //! instead of a full-schedule re-evaluation per candidate.
 
-use cawo_core::{
-    Cost, CostEngine, DenseGrid, EngineKind, FenwickEngine, Instance, IntervalEngine, Schedule,
-};
+use cawo_core::{Cost, CostEngine, Instance, IntervalEngine, Schedule};
 use cawo_graph::NodeId;
 use cawo_platform::{PowerProfile, Time};
-
-use crate::solver::{
-    heuristic_incumbent, require_feasible, Budget, SolveError, SolveResult, SolveStats,
-    SolveStatus, Solver,
-};
 
 /// One maximal block of back-to-back tasks: positions `[first, last]`
 /// in the chain plus its start time.
@@ -188,47 +181,6 @@ pub fn to_e_schedule_on<E: CostEngine>(
             // block decomposition. Kept as a safe exit.
             None => return (cur, cur_cost as Cost),
         }
-    }
-}
-
-/// Lemma 4.2 as a [`Solver`]: seeds from the strongest heuristic and
-/// normalises it into an E-schedule of equal or lower cost. Always
-/// [`SolveStatus::Feasible`] — the lemma guarantees no regression, not
-/// optimality. Uniprocessor instances only.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EscheduleSolver {
-    /// Cost-engine backend pricing the block shifts.
-    pub engine: EngineKind,
-}
-
-impl Solver for EscheduleSolver {
-    fn name(&self) -> &'static str {
-        "eschedule"
-    }
-
-    fn solve(
-        &self,
-        inst: &Instance,
-        profile: &PowerProfile,
-        _budget: Budget,
-    ) -> Result<SolveResult, SolveError> {
-        require_feasible(inst, profile)?;
-        crate::solver::single_chain(inst)?;
-        let (seed, _) = heuristic_incumbent(inst, profile);
-        let (schedule, cost) = match self.engine {
-            EngineKind::Dense => to_e_schedule_on::<DenseGrid>(inst, profile, &seed),
-            EngineKind::Interval => to_e_schedule_on::<IntervalEngine>(inst, profile, &seed),
-            EngineKind::Fenwick => to_e_schedule_on::<FenwickEngine>(inst, profile, &seed),
-        };
-        Ok(SolveResult {
-            schedule,
-            cost,
-            status: SolveStatus::Feasible,
-            nodes: 0,
-            lower_bound: None,
-            stats: SolveStats::default(),
-            basis: None,
-        })
     }
 }
 

@@ -11,15 +11,18 @@
 //! paper only solves it on small instances. Here it serves two roles:
 //!
 //! * documentation-grade formulation (every constraint of the appendix
-//!   is materialised and can be exported in LP format),
+//!   is materialised),
 //! * an independent *checker*: [`check_schedule_against_ilp`] maps a
 //!   schedule to the canonical ILP assignment and verifies every
 //!   constraint plus that the objective equals the carbon cost — which
 //!   ties the branch-and-bound optimum to the ILP optimum.
 
-use cawo_core::{Cost, Instance, Schedule};
+use cawo_core::{Cost, EngineKind, Instance, Schedule};
 use cawo_graph::NodeId;
 use cawo_platform::{PowerProfile, Time};
+
+use crate::solver::{Budget, SolveError, SolveResult, WarmStart};
+use crate::sparse_model::SparseA4Model;
 
 /// Comparison operator of a linear constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -416,48 +419,6 @@ impl IlpModel {
         }
         Ok(())
     }
-
-    /// Writes the model in CPLEX LP format (for external solvers).
-    pub fn to_lp_format(&self) -> String {
-        use std::fmt::Write;
-        // `fmt::Write` into a String cannot fail; the Results are dropped.
-        let mut out = String::new();
-        out.push_str("Minimize\n obj:");
-        for &(v, c) in &self.objective {
-            let _ = write!(out, " + {c} {}", self.names[v as usize]);
-        }
-        out.push_str("\nSubject To\n");
-        for (i, c) in self.constraints.iter().enumerate() {
-            let _ = write!(out, " c{i}_{}:", c.tag);
-            for &(v, a) in &c.terms {
-                if a >= 0 {
-                    let _ = write!(out, " + {a} {}", self.names[v as usize]);
-                } else {
-                    let _ = write!(out, " - {} {}", -a, self.names[v as usize]);
-                }
-            }
-            let op = match c.cmp {
-                Cmp::Le => "<=",
-                Cmp::Eq => "=",
-                Cmp::Ge => ">=",
-            };
-            let _ = writeln!(out, " {op} {}", c.rhs);
-        }
-        out.push_str("Binary\n");
-        for (i, d) in self.domains.iter().enumerate() {
-            if *d == Domain::Binary {
-                let _ = writeln!(out, " {}", self.names[i]);
-            }
-        }
-        out.push_str("General\n");
-        for (i, d) in self.domains.iter().enumerate() {
-            if *d == Domain::NonNegInt {
-                let _ = writeln!(out, " {}", self.names[i]);
-            }
-        }
-        out.push_str("End\n");
-        out
-    }
 }
 
 /// Convenience wrapper: builds the model, derives the canonical
@@ -477,127 +438,57 @@ pub fn check_schedule_against_ilp(
     Ok(model.objective_value(&x) as Cost)
 }
 
-/// Checker-certified branch-and-bound as a [`Solver`](crate::solver::Solver): runs the
-/// combinatorial search, then verifies that the returned schedule
-/// satisfies the Appendix A.4 formulation with an objective equal to
-/// the reported cost — the executable link between the combinatorial
-/// optimum and the paper's ILP formulation.
+/// Largest dense model certified directly, in variables.
+const MAX_DENSE_VARS: usize = 200_000;
+/// Largest compact model certified instead, in columns.
+const MAX_SPARSE_COLS: usize = 4_000_000;
+
+/// The registry's `ilp` entry: runs `bnb` on the default cost engine,
+/// then verifies that the returned schedule satisfies the Appendix A.4
+/// formulation with an objective equal to the reported cost — the
+/// executable link between the combinatorial optimum and the paper's
+/// ILP formulation.
 ///
 /// Small instances are certified against the *literal* dense model
 /// ([`check_schedule_against_ilp`]); instances whose dense model would
-/// exceed `max_vars` are certified against the equivalent compact
-/// sparse formulation ([`crate::sparse_model::SparseA4Model`]) instead
-/// of being declined, which carries the certificate into the 200-task
-/// regime. Only models beyond the sparse guard return
-/// [`SolveError::Unsupported`](crate::solver::SolveError::Unsupported).
-#[derive(Debug, Clone, Copy)]
-pub struct IlpSolver {
-    /// Dense-certificate ceiling (the literal model above this size is
-    /// certified through the sparse formulation instead).
-    pub max_vars: usize,
-    /// Sparse-certificate ceiling (columns of the compact model).
-    pub max_sparse_cols: usize,
-}
-
-impl Default for IlpSolver {
-    fn default() -> Self {
-        IlpSolver {
-            max_vars: 200_000,
-            max_sparse_cols: 4_000_000,
+/// exceed `MAX_DENSE_VARS` are certified against the equivalent compact
+/// sparse formulation ([`SparseA4Model`]) instead of being declined,
+/// which carries the certificate into the 200-task regime. Only models
+/// beyond `MAX_SPARSE_COLS` return [`SolveError::Unsupported`].
+pub(crate) fn solve(
+    inst: &Instance,
+    profile: &PowerProfile,
+    budget: Budget,
+    warm: &WarmStart,
+) -> Result<SolveResult, SolveError> {
+    let n = inst.node_count();
+    let t = profile.deadline() as usize;
+    let var_count = IlpModel::var_count_for(n, t);
+    let use_dense = var_count <= MAX_DENSE_VARS;
+    if !use_dense {
+        // Decline oversized instances *before* spending the search
+        // budget: both size estimates are cheap.
+        let est_cols = SparseA4Model::column_count_for(inst, profile);
+        if est_cols > MAX_SPARSE_COLS {
+            return Err(SolveError::Unsupported(format!(
+                "certification model needs {var_count} dense variables and ≈{est_cols} \
+                 sparse columns (caps {MAX_DENSE_VARS} / {MAX_SPARSE_COLS})"
+            )));
         }
     }
-}
-
-impl crate::solver::Solver for IlpSolver {
-    fn name(&self) -> &'static str {
-        "ilp"
-    }
-
-    fn solve(
-        &self,
-        inst: &Instance,
-        profile: &PowerProfile,
-        budget: crate::solver::Budget,
-    ) -> Result<crate::solver::SolveResult, crate::solver::SolveError> {
-        use crate::solver::SolveError;
-        crate::solver::require_feasible(inst, profile)?;
-        let n = inst.node_count();
-        let t = profile.deadline() as usize;
-        let var_count = IlpModel::var_count_for(n, t);
-        let use_dense = var_count <= self.max_vars;
-        if !use_dense {
-            // Decline oversized instances *before* spending the search
-            // budget: both size estimates are cheap.
-            let est_cols = crate::sparse_model::SparseA4Model::column_count_for(inst, profile);
-            if est_cols > self.max_sparse_cols {
-                return Err(SolveError::Unsupported(format!(
-                    "certification model needs {var_count} dense variables and ≈{est_cols} \
-                     sparse columns (caps {} / {})",
-                    self.max_vars, self.max_sparse_cols
-                )));
-            }
-        }
-        self.certify(inst, profile, use_dense, || {
-            crate::bnb::BnbSolver::default().solve(inst, profile, budget)
-        })
-    }
-
-    fn solve_warm(
-        &self,
-        inst: &Instance,
-        profile: &PowerProfile,
-        budget: crate::solver::Budget,
-        warm: &crate::solver::WarmStart,
-    ) -> Result<crate::solver::SolveResult, crate::solver::SolveError> {
-        // Same certification as the cold path; only the inner search is
-        // seeded. Re-run the size guards by delegating to `solve`'s
-        // preamble via a fresh call.
-        use crate::solver::SolveError;
-        crate::solver::require_feasible(inst, profile)?;
-        let n = inst.node_count();
-        let t = profile.deadline() as usize;
-        let var_count = IlpModel::var_count_for(n, t);
-        let use_dense = var_count <= self.max_vars;
-        if !use_dense {
-            let est_cols = crate::sparse_model::SparseA4Model::column_count_for(inst, profile);
-            if est_cols > self.max_sparse_cols {
-                return Err(SolveError::Unsupported(format!(
-                    "certification model needs {var_count} dense variables and ≈{est_cols} \
-                     sparse columns (caps {} / {})",
-                    self.max_vars, self.max_sparse_cols
-                )));
-            }
-        }
-        self.certify(inst, profile, use_dense, || {
-            crate::bnb::BnbSolver::default().solve_warm(inst, profile, budget, warm)
-        })
-    }
-}
-
-impl IlpSolver {
-    fn certify(
-        &self,
-        inst: &Instance,
-        profile: &PowerProfile,
-        use_dense: bool,
-        run: impl FnOnce() -> Result<crate::solver::SolveResult, crate::solver::SolveError>,
-    ) -> Result<crate::solver::SolveResult, crate::solver::SolveError> {
-        use crate::solver::SolveError;
-        let res = run()?;
-        let certified = if use_dense {
-            check_schedule_against_ilp(inst, profile, &res.schedule)
-                .map_err(SolveError::Infeasible)?
-        } else {
-            crate::sparse_model::SparseA4Model::build(inst, profile)
-                .check_schedule(inst, profile, &res.schedule)
-                .map_err(SolveError::Infeasible)?
-        };
-        assert_eq!(
-            certified, res.cost,
-            "ILP certificate disagrees with the search optimum"
-        );
-        Ok(res)
-    }
+    let res = crate::bnb::solve(EngineKind::default(), inst, profile, budget, warm);
+    let certified = if use_dense {
+        check_schedule_against_ilp(inst, profile, &res.schedule).map_err(SolveError::Infeasible)?
+    } else {
+        SparseA4Model::build(inst, profile)
+            .check_schedule(inst, profile, &res.schedule)
+            .map_err(SolveError::Infeasible)?
+    };
+    assert_eq!(
+        certified, res.cost,
+        "ILP certificate disagrees with the search optimum"
+    );
+    Ok(res)
 }
 
 #[cfg(test)]
@@ -701,33 +592,14 @@ mod tests {
     }
 
     #[test]
-    fn ilp_solver_reports_infeasible_deadlines() {
-        use crate::solver::{Budget, SolveError, Solver};
+    fn registry_entry_reports_infeasible_deadlines() {
+        use crate::solver::SolverKind;
         let inst = chain2();
         let short = PowerProfile::uniform(3, 5); // deadline < ASAP makespan
         assert!(matches!(
-            IlpSolver::default().solve(&inst, &short, Budget::default()),
+            SolverKind::Ilp.solve(&inst, &short, Budget::default()),
             Err(SolveError::Infeasible(_))
         ));
-    }
-
-    #[test]
-    fn lp_export_mentions_all_sections() {
-        let inst = chain2();
-        let profile = PowerProfile::uniform(6, 3);
-        let model = IlpModel::build(&inst, &profile);
-        let lp = model.to_lp_format();
-        for needle in [
-            "Minimize",
-            "Subject To",
-            "Binary",
-            "General",
-            "End",
-            "eq12",
-            "eq23",
-        ] {
-            assert!(lp.contains(needle), "missing {needle}");
-        }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! * [`bnb`] — an exact branch-and-bound solver over task start times
 //!   with an admissible partial-cost lower bound; it optimises over
 //!   exactly the solution space the ILP encodes and replaces the paper's
-//!   Gurobi runs for the optimality comparison (Fig. 7) — see DESIGN.md,
-//!   Substitution 1,
+//!   Gurobi runs for the optimality comparison (Fig. 7) — see
+//!   docs/ARCHITECTURE.md, "Substitutions",
 //! * [`eschedule`] — Lemma 4.2's block-shift transformation as
 //!   executable code (any uniprocessor schedule → an E-schedule of equal
 //!   or lower cost),
@@ -25,14 +25,18 @@
 //! * [`reduction`] — the 3-Partition gadget of the strong NP-completeness
 //!   proof (§4.2 / Appendix A.3), used as an adversarial test generator.
 //!
-//! All methods are reachable through one interface: the
-//! [`solver::Solver`] trait (`solve(&Instance, &PowerProfile, Budget) →
-//! SolveResult`), with [`solver::SolverKind`] as the runtime registry
-//! that CLIs and experiment grids select from. The solvers' inner loops
-//! price candidates through `cawo_core`'s incremental [`CostEngine`]
-//! machinery (placement deltas, prefix-sum oracles) — never by
-//! re-evaluating whole schedules with `carbon_cost`, which is reserved
-//! for tests and debug oracles.
+//! The registered methods are reachable through one enum:
+//! [`solver::SolverKind`] (`bnb`, `dp`, `ilp`, `milp`, `lp`) is the
+//! runtime registry that CLIs and experiment grids select from, and its
+//! `solve(&Instance, &PowerProfile, Budget) → SolveResult` dispatches
+//! straight to each method. The pseudo-polynomial DP
+//! ([`dp_pseudo_polynomial`]) and the E-schedule transformation
+//! ([`to_e_schedule`]) are library functions, not registry entries: the
+//! first is the polynomial DP's test oracle, the second Lemma 4.2's
+//! executable proof. The solvers' inner loops price candidates through
+//! `cawo_core`'s incremental [`CostEngine`] machinery (placement deltas,
+//! prefix-sum oracles) — never by re-evaluating whole schedules with
+//! `carbon_cost`, which is reserved for tests and debug oracles.
 //!
 //! The literal A.4 model solved by a dense two-phase tableau and a dense
 //! branch-and-bound is not part of the library: like the paper's Gurobi
@@ -55,14 +59,11 @@ pub mod reduction;
 pub mod solver;
 pub mod sparse_model;
 
-pub use bnb::{solve_exact, solve_exact_on, BnbConfig, BnbResult, BnbSolver, CandidateMode};
+pub use bnb::{solve_exact, solve_exact_on, BnbConfig, BnbResult, CandidateMode};
 pub use cuts::{root_cut_loop, CutStats};
-pub use dp::{dp_polynomial, dp_pseudo_polynomial, DpResult, DpSolver};
-pub use eschedule::{is_e_schedule, to_e_schedule, to_e_schedule_on, EscheduleSolver};
-pub use ilp::{check_schedule_against_ilp, IlpModel, IlpSolver};
-pub use milp::MilpSolver;
+pub use dp::{dp_polynomial, dp_pseudo_polynomial, DpResult};
+pub use eschedule::{is_e_schedule, to_e_schedule, to_e_schedule_on};
+pub use ilp::{check_schedule_against_ilp, IlpModel};
 pub use reduction::three_partition_instance;
-pub use solver::{
-    Budget, SolveError, SolveResult, SolveStats, SolveStatus, Solver, SolverKind, WarmStart,
-};
-pub use sparse_model::{LpSolver, SparseA4Model};
+pub use solver::{Budget, SolveError, SolveResult, SolveStats, SolveStatus, SolverKind, WarmStart};
+pub use sparse_model::SparseA4Model;

@@ -1,28 +1,27 @@
-//! The unified [`Solver`] interface over every exact method.
+//! The exact-solver registry: [`SolverKind`] names every exact method
+//! and dispatches straight to it.
 //!
 //! Each exact algorithm has its own native entry point with its own
 //! shape — `dp_polynomial` returning a `DpResult`, `solve_exact` a
-//! `BnbResult`, `to_e_schedule` a bare tuple. The [`Solver`] trait
-//! wraps them all in one contract:
+//! `BnbResult`. The registry gives them all one contract:
 //!
 //! ```text
-//! solve(&Instance, &PowerProfile, Budget)
+//! SolverKind::solve(self, &Instance, &PowerProfile, Budget)
 //!     -> Result<SolveResult { schedule, cost, status, … }, SolveError>
 //! ```
 //!
 //! so experiment grids, CLIs and benches can treat "an exact column" as
-//! a value ([`SolverKind`]) exactly like they treat heuristic
-//! [`cawo_core::Variant`]s. Every registered solver:
+//! a value exactly like they treat heuristic [`cawo_core::Variant`]s.
+//! [`SolverKind::solve_with`] adds the per-call cost engine and a
+//! [`WarmStart`]. Every registered solver:
 //!
-//! | name         | module                     | method                                    | guarantee |
-//! |--------------|----------------------------|-------------------------------------------|-----------|
-//! | `bnb`        | [`crate::bnb`]             | combinatorial branch-and-bound            | optimal   |
-//! | `dp`         | [`crate::dp`]              | E-schedule-restricted polynomial DP       | optimal (uniprocessor) |
-//! | `dp-pseudo`  | [`crate::dp`]              | pseudo-polynomial `Opt(i, t)` table       | optimal (uniprocessor) |
-//! | `eschedule`  | [`crate::eschedule`]       | heuristic seed + Lemma 4.2 normalisation  | feasible (uniprocessor) |
-//! | `ilp`        | [`crate::ilp`]             | branch-and-bound certified by the ILP checker | optimal |
-//! | `milp`       | [`crate::milp`]            | compact A.4 model, sparse revised-simplex B&B (warm-started window splits) | optimal / feasible + bound |
-//! | `lp`         | [`crate::sparse_model`]    | sparse LP-relaxation lower bound + best heuristic | optimal iff bound met |
+//! | name   | module                  | method                                    | guarantee |
+//! |--------|-------------------------|-------------------------------------------|-----------|
+//! | `bnb`  | [`crate::bnb`]          | combinatorial branch-and-bound            | optimal   |
+//! | `dp`   | [`crate::dp`]           | E-schedule-restricted polynomial DP       | optimal (uniprocessor) |
+//! | `ilp`  | [`crate::ilp`]          | branch-and-bound certified by the ILP checker | optimal |
+//! | `milp` | [`crate::milp`]         | compact A.4 model, sparse revised-simplex B&B (warm-started window splits) | optimal / feasible + bound |
+//! | `lp`   | [`crate::sparse_model`] | sparse LP-relaxation lower bound + best heuristic | optimal iff bound met |
 //!
 //! Solvers that cannot handle an instance (multi-unit input to a
 //! uniprocessor method, a time-indexed model too large to materialise)
@@ -66,7 +65,7 @@ impl std::fmt::Display for SolveStatus {
     }
 }
 
-/// Resource budget for one [`Solver::solve`] call.
+/// Resource budget for one [`SolverKind::solve`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Budget {
     /// Cap on explored search nodes (B&B nodes, MILP nodes).
@@ -131,10 +130,10 @@ impl Budget {
     }
 }
 
-/// Method-level work counters accumulated over one [`Solver::solve`]
-/// call — the "why was it fast/slow" companion to the verdict. All
-/// fields are zero/empty for methods where they are meaningless
-/// (combinatorial solvers report no LP iterations).
+/// Method-level work counters accumulated over one
+/// [`SolverKind::solve`] call — the "why was it fast/slow" companion to
+/// the verdict. All fields are zero/empty for methods where they are
+/// meaningless (combinatorial solvers report no LP iterations).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Total simplex iterations across every LP solve (all phases).
@@ -154,7 +153,7 @@ pub struct SolveStats {
     pub cuts_mir: u32,
 }
 
-/// Outcome of a successful [`Solver::solve`] call.
+/// Outcome of a successful [`SolverKind::solve`] call.
 #[derive(Debug, Clone)]
 pub struct SolveResult {
     /// The returned (always deadline-valid) schedule.
@@ -223,53 +222,9 @@ pub struct WarmStart {
 }
 
 impl WarmStart {
-    /// A warm start seeding only the incumbent schedule.
-    pub fn from_schedule(sched: Schedule) -> Self {
-        WarmStart {
-            incumbent: Some(sched),
-            basis: None,
-        }
-    }
-
     /// True when there is nothing to warm-start from.
     pub fn is_empty(&self) -> bool {
         self.incumbent.is_none() && self.basis.is_none()
-    }
-}
-
-/// A carbon-cost minimiser over the exact solution space.
-///
-/// Implementations must return schedules that validate against the
-/// instance and the profile deadline, and report `cost` equal to the
-/// carbon cost of the returned schedule.
-pub trait Solver {
-    /// Stable lowercase identifier (CLI flag value, CSV column).
-    fn name(&self) -> &'static str;
-
-    /// Runs the method on one instance under a resource budget.
-    fn solve(
-        &self,
-        inst: &Instance,
-        profile: &PowerProfile,
-        budget: Budget,
-    ) -> Result<SolveResult, SolveError>;
-
-    /// Runs the method seeded with warm state from a previous solve.
-    ///
-    /// The default implementation ignores the hints and solves cold;
-    /// methods that can exploit an incumbent or a basis override it
-    /// (`milp`, `lp`, `bnb`, `ilp`). A warm start must reach the same
-    /// optimum as a cold solve — the warm-path property suite enforces
-    /// this across solvers.
-    fn solve_warm(
-        &self,
-        inst: &Instance,
-        profile: &PowerProfile,
-        budget: Budget,
-        warm: &WarmStart,
-    ) -> Result<SolveResult, SolveError> {
-        let _ = warm;
-        self.solve(inst, profile, budget)
     }
 }
 
@@ -302,36 +257,29 @@ pub(crate) fn warm_incumbent(
     (best, best_cost)
 }
 
-/// Selects a registered [`Solver`] at run time (CLI flag, experiment
-/// configs) — the exact-solver counterpart of
+/// Selects a registered exact method at run time (CLI flag, experiment
+/// configs) and runs it — the exact-solver counterpart of
 /// [`cawo_core::EngineKind`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SolverKind {
-    /// Combinatorial branch-and-bound ([`crate::bnb::BnbSolver`]).
+    /// Combinatorial branch-and-bound ([`crate::bnb`]).
     Bnb,
-    /// Polynomial E-schedule DP ([`crate::dp::DpSolver`]).
+    /// Polynomial E-schedule DP ([`crate::dp`]).
     Dp,
-    /// Pseudo-polynomial DP ([`crate::dp::DpSolver`]).
-    DpPseudo,
-    /// Heuristic + Lemma 4.2 polish ([`crate::eschedule::EscheduleSolver`]).
-    Eschedule,
-    /// Checker-certified branch-and-bound ([`crate::ilp::IlpSolver`]).
+    /// Checker-certified branch-and-bound ([`crate::ilp`]).
     Ilp,
     /// Compact A.4 model via the sparse revised-simplex B&B
-    /// ([`crate::milp::MilpSolver`]).
+    /// ([`crate::milp`]).
     Milp,
-    /// Sparse LP-relaxation bound + incumbent
-    /// ([`crate::sparse_model::LpSolver`]).
+    /// Sparse LP-relaxation bound + incumbent ([`crate::sparse_model`]).
     Lp,
 }
 
 impl SolverKind {
     /// Every registered solver.
-    pub const ALL: [SolverKind; 7] = [
+    pub const ALL: [SolverKind; 5] = [
         SolverKind::Bnb,
         SolverKind::Dp,
-        SolverKind::DpPseudo,
-        SolverKind::Eschedule,
         SolverKind::Ilp,
         SolverKind::Milp,
         SolverKind::Lp,
@@ -342,8 +290,6 @@ impl SolverKind {
         match self {
             SolverKind::Bnb => "bnb",
             SolverKind::Dp => "dp",
-            SolverKind::DpPseudo => "dp-pseudo",
-            SolverKind::Eschedule => "eschedule",
             SolverKind::Ilp => "ilp",
             SolverKind::Milp => "milp",
             SolverKind::Lp => "lp",
@@ -357,46 +303,50 @@ impl SolverKind {
             .find(|k| k.name().eq_ignore_ascii_case(s))
     }
 
-    /// Instantiates the solver with its default configuration.
-    pub fn build(self) -> Box<dyn Solver + Send + Sync> {
-        match self {
-            SolverKind::Bnb => Box::new(crate::bnb::BnbSolver::default()),
-            SolverKind::Dp => Box::new(crate::dp::DpSolver::polynomial()),
-            SolverKind::DpPseudo => Box::new(crate::dp::DpSolver::pseudo()),
-            SolverKind::Eschedule => Box::new(crate::eschedule::EscheduleSolver::default()),
-            SolverKind::Ilp => Box::new(crate::ilp::IlpSolver::default()),
-            SolverKind::Milp => Box::new(crate::milp::MilpSolver::default()),
-            SolverKind::Lp => Box::new(crate::sparse_model::LpSolver::default()),
-        }
+    /// Runs the method cold on the default cost engine under a resource
+    /// budget.
+    ///
+    /// The returned schedule validates against the instance and the
+    /// profile deadline, and `cost` equals its carbon cost.
+    pub fn solve(
+        self,
+        inst: &Instance,
+        profile: &PowerProfile,
+        budget: Budget,
+    ) -> Result<SolveResult, SolveError> {
+        self.solve_with(
+            EngineKind::default(),
+            inst,
+            profile,
+            budget,
+            &WarmStart::default(),
+        )
     }
 
-    /// Instantiates the solver with an explicit cost-engine backend
-    /// (where the solver is engine-generic; others ignore it).
-    pub fn build_with_engine(self, engine: EngineKind) -> Box<dyn Solver + Send + Sync> {
+    /// Runs the method on an explicit cost-engine backend, seeded with
+    /// warm state from a previous solve. A deadline below the ASAP
+    /// makespan is [`SolveError::Infeasible`] for every method.
+    ///
+    /// Only `bnb` prices through `engine`; the other methods ignore it.
+    /// `bnb`, `ilp`, `milp` and `lp` fold in the warm incumbent, `milp`
+    /// also the warm basis; `dp` ignores both. A warm start must reach
+    /// the same optimum as a cold solve — the warm-path property suite
+    /// enforces this across solvers.
+    pub fn solve_with(
+        self,
+        engine: EngineKind,
+        inst: &Instance,
+        profile: &PowerProfile,
+        budget: Budget,
+        warm: &WarmStart,
+    ) -> Result<SolveResult, SolveError> {
+        require_feasible(inst, profile)?;
         match self {
-            SolverKind::Bnb => Box::new(crate::bnb::BnbSolver {
-                engine,
-                ..crate::bnb::BnbSolver::default()
-            }),
-            SolverKind::Eschedule => Box::new(crate::eschedule::EscheduleSolver { engine }),
-            other => other.build(),
-        }
-    }
-
-    /// One-line description for `--help` output and docs.
-    pub fn describe(self) -> &'static str {
-        match self {
-            SolverKind::Bnb => "branch-and-bound over start times (optimal; any instance)",
-            SolverKind::Dp => "polynomial E-schedule DP (optimal; uniprocessor chains)",
-            SolverKind::DpPseudo => "pseudo-polynomial Opt(i,t) DP (optimal; uniprocessor chains)",
-            SolverKind::Eschedule => {
-                "heuristic + Lemma 4.2 block-shift polish (feasible; uniprocessor)"
-            }
-            SolverKind::Ilp => "branch-and-bound certified against the Appendix A.4 ILP (optimal)",
-            SolverKind::Milp => {
-                "compact A.4 model via sparse revised-simplex B&B (optimal or feasible + bound)"
-            }
-            SolverKind::Lp => "sparse LP-relaxation lower bound + best heuristic incumbent",
+            SolverKind::Bnb => Ok(crate::bnb::solve(engine, inst, profile, budget, warm)),
+            SolverKind::Dp => crate::dp::solve(inst, profile, budget),
+            SolverKind::Ilp => crate::ilp::solve(inst, profile, budget, warm),
+            SolverKind::Milp => crate::milp::solve(inst, profile, budget, warm),
+            SolverKind::Lp => crate::sparse_model::solve_lp(inst, profile, budget, warm),
         }
     }
 }
@@ -409,7 +359,7 @@ impl std::fmt::Display for SolverKind {
 
 /// Fails with [`SolveError::Infeasible`] when the deadline is below the
 /// ASAP makespan (no valid schedule exists at all).
-pub(crate) fn require_feasible(inst: &Instance, profile: &PowerProfile) -> Result<(), SolveError> {
+fn require_feasible(inst: &Instance, profile: &PowerProfile) -> Result<(), SolveError> {
     let asap = inst.asap_makespan();
     if profile.deadline() < asap {
         return Err(SolveError::Infeasible(format!(
@@ -507,11 +457,13 @@ mod tests {
         for k in SolverKind::ALL {
             assert_eq!(SolverKind::parse(k.name()), Some(k));
             assert_eq!(SolverKind::parse(&k.name().to_uppercase()), Some(k));
-            assert_eq!(k.build().name(), k.name());
-            assert!(!k.describe().is_empty());
         }
-        assert_eq!(SolverKind::ALL.len(), 7);
+        assert_eq!(SolverKind::ALL.len(), 5);
         assert_eq!(SolverKind::parse("gurobi"), None);
+        // The pseudo-polynomial DP and the E-schedule polisher are
+        // library functions, not registry entries.
+        assert_eq!(SolverKind::parse("dp-pseudo"), None);
+        assert_eq!(SolverKind::parse("eschedule"), None);
         assert_eq!(SolverKind::Bnb.to_string(), "bnb");
     }
 

@@ -28,8 +28,9 @@
 //!
 //! Integer optima coincide with the A.4 optimum (same schedule space,
 //! same objective), so the LP relaxation is a valid lower bound and
-//! branch-and-bound over the `s` columns is exact —
-//! [`crate::milp::MilpSolver`] drives exactly that.
+//! branch-and-bound over the `s` columns is exact — the registry's
+//! `milp` entry ([`crate::milp`]) drives exactly that, and its `lp`
+//! entry (`solve_lp` here) reports the relaxation bound alone.
 
 use cawo_core::{Bounds, Cost, CostEngine, Instance, IntervalEngine, Schedule};
 use cawo_graph::NodeId;
@@ -37,8 +38,7 @@ use cawo_lp::{presolve, LpStatus, PresolveInfeasible, RowCmp, SimplexOptions, Sp
 use cawo_platform::{PowerProfile, Time};
 
 use crate::solver::{
-    require_feasible, warm_incumbent, Budget, SolveError, SolveResult, SolveStats, SolveStatus,
-    Solver, WarmStart,
+    warm_incumbent, Budget, SolveError, SolveResult, SolveStats, SolveStatus, WarmStart,
 };
 
 /// The compact sparse A.4 model plus its column layout.
@@ -372,144 +372,102 @@ pub(crate) fn ceil_bound(objective: f64) -> Cost {
     (objective - 1e-6).ceil().max(0.0) as Cost
 }
 
-/// The sparse LP-relaxation solver (registry name `lp`): presolve +
-/// revised simplex on the compact model, yielding a *proven lower
-/// bound* that certifies (or brackets) the strongest heuristic
-/// incumbent — the status is `optimal` exactly when the incumbent
-/// meets the bound.
-#[derive(Debug, Clone, Copy)]
-pub struct LpSolver {
-    /// Refuse models with more columns than this (memory guard; the
-    /// compact model stays far below it throughout the paper grid).
-    pub max_cols: usize,
-}
+/// Column cap of the relaxation (memory guard; the compact model stays
+/// far below it throughout the paper grid).
+const LP_MAX_COLS: usize = 4_000_000;
 
-impl Default for LpSolver {
-    fn default() -> Self {
-        LpSolver {
-            max_cols: 4_000_000,
+/// The registry's `lp` entry: presolve + revised simplex on the compact
+/// model, yielding a *proven lower bound* that certifies (or brackets)
+/// the strongest heuristic incumbent — the status is `optimal` exactly
+/// when the incumbent meets the bound.
+pub(crate) fn solve_lp(
+    inst: &Instance,
+    profile: &PowerProfile,
+    budget: Budget,
+    warm: &WarmStart,
+) -> Result<SolveResult, SolveError> {
+    // Guard before building: the estimate bounds the real column
+    // count from above, so nothing oversized is ever allocated.
+    let est_cols = SparseA4Model::column_count_for(inst, profile);
+    if est_cols > LP_MAX_COLS {
+        return Err(SolveError::Unsupported(format!(
+            "sparse relaxation needs ≈{est_cols} columns (cap {LP_MAX_COLS})"
+        )));
+    }
+    let model = SparseA4Model::build(inst, profile);
+    // A warm incumbent (when still valid and better than the cold
+    // heuristic) both improves the returned schedule and crashes a
+    // better starting basis below. The raw warm *basis* is not
+    // reusable here: this path presolves, so its simplex runs in
+    // reduced column space while the token lives in full space.
+    let (schedule, cost) = warm_incumbent(inst, profile, warm);
+    let reduced = match presolve(&model.lp) {
+        Ok(r) => r,
+        Err(PresolveInfeasible { reason }) => {
+            return Err(SolveError::Infeasible(format!(
+                "sparse relaxation infeasible in presolve — {reason}"
+            )))
         }
+    };
+    let opts = SimplexOptions {
+        time_limit: budget.time_limit,
+        ..SimplexOptions::default()
+    };
+    let mut simplex = cawo_lp::SimplexSolver::new(&reduced.lp);
+    // Crash the heuristic incumbent into a primal-feasible basis
+    // and project it through the presolve eliminations: phase 1 is
+    // skipped and phase 2 descends from the incumbent's objective.
+    // A shape mismatch just falls back to the cold slack basis.
+    if let Some(basis) = reduced.map_basis(&model.crash_basis(inst, &schedule)) {
+        simplex.set_basis(&basis);
     }
-}
-
-impl Solver for LpSolver {
-    fn name(&self) -> &'static str {
-        "lp"
-    }
-
-    fn solve(
-        &self,
-        inst: &Instance,
-        profile: &PowerProfile,
-        budget: Budget,
-    ) -> Result<SolveResult, SolveError> {
-        self.solve_inner(inst, profile, budget, &WarmStart::default())
-    }
-
-    fn solve_warm(
-        &self,
-        inst: &Instance,
-        profile: &PowerProfile,
-        budget: Budget,
-        warm: &WarmStart,
-    ) -> Result<SolveResult, SolveError> {
-        self.solve_inner(inst, profile, budget, warm)
-    }
-}
-
-impl LpSolver {
-    fn solve_inner(
-        &self,
-        inst: &Instance,
-        profile: &PowerProfile,
-        budget: Budget,
-        warm: &WarmStart,
-    ) -> Result<SolveResult, SolveError> {
-        require_feasible(inst, profile)?;
-        // Guard before building: the estimate bounds the real column
-        // count from above, so nothing oversized is ever allocated.
-        let est_cols = SparseA4Model::column_count_for(inst, profile);
-        if est_cols > self.max_cols {
-            return Err(SolveError::Unsupported(format!(
-                "sparse relaxation needs ≈{est_cols} columns (cap {})",
-                self.max_cols
-            )));
-        }
-        let model = SparseA4Model::build(inst, profile);
-        // A warm incumbent (when still valid and better than the cold
-        // heuristic) both improves the returned schedule and crashes a
-        // better starting basis below. The raw warm *basis* is not
-        // reusable here: this path presolves, so its simplex runs in
-        // reduced column space while the token lives in full space.
-        let (schedule, cost) = warm_incumbent(inst, profile, warm);
-        let reduced = match presolve(&model.lp) {
-            Ok(r) => r,
-            Err(PresolveInfeasible { reason }) => {
-                return Err(SolveError::Infeasible(format!(
-                    "sparse relaxation infeasible in presolve — {reason}"
-                )))
-            }
-        };
-        let opts = SimplexOptions {
-            time_limit: budget.time_limit,
-            ..SimplexOptions::default()
-        };
-        let mut simplex = cawo_lp::SimplexSolver::new(&reduced.lp);
-        // Crash the heuristic incumbent into a primal-feasible basis
-        // and project it through the presolve eliminations: phase 1 is
-        // skipped and phase 2 descends from the incumbent's objective.
-        // A shape mismatch just falls back to the cold slack basis.
-        if let Some(basis) = reduced.map_basis(&model.crash_basis(inst, &schedule)) {
-            simplex.set_basis(&basis);
-        }
-        let sol = simplex.solve(&opts);
-        let stats = SolveStats {
-            lp_iterations: sol.iterations,
-            dual_iterations: sol.stats.dual_iters,
-            ..SolveStats::default()
-        };
-        match sol.status {
-            LpStatus::Optimal => {
-                debug_assert!(
-                    reduced.lp.max_violation(&sol.x) < 1e-5,
-                    "optimal relaxation point violates the reduced model"
-                );
-                let lower_bound = ceil_bound(sol.objective + reduced.objective_offset());
-                Ok(SolveResult {
-                    schedule,
-                    cost,
-                    status: if cost <= lower_bound {
-                        SolveStatus::Optimal
-                    } else {
-                        SolveStatus::Feasible
-                    },
-                    nodes: sol.iterations,
-                    lower_bound: Some(lower_bound),
-                    stats,
-                    basis: None,
-                })
-            }
-            // A budget-capped run still carries the Lagrangian dual
-            // bound of its last basis when one is finite — an honest
-            // "best proven so far" instead of a stale primal objective.
-            LpStatus::IterLimit | LpStatus::TimeLimit => Ok(SolveResult {
+    let sol = simplex.solve(&opts);
+    let stats = SolveStats {
+        lp_iterations: sol.iterations,
+        dual_iterations: sol.stats.dual_iters,
+        ..SolveStats::default()
+    };
+    match sol.status {
+        LpStatus::Optimal => {
+            debug_assert!(
+                reduced.lp.max_violation(&sol.x) < 1e-5,
+                "optimal relaxation point violates the reduced model"
+            );
+            let lower_bound = ceil_bound(sol.objective + reduced.objective_offset());
+            Ok(SolveResult {
                 schedule,
                 cost,
-                status: SolveStatus::TimedOut,
+                status: if cost <= lower_bound {
+                    SolveStatus::Optimal
+                } else {
+                    SolveStatus::Feasible
+                },
                 nodes: sol.iterations,
-                lower_bound: sol
-                    .dual_bound
-                    .map(|b| ceil_bound(b + reduced.objective_offset())),
+                lower_bound: Some(lower_bound),
                 stats,
                 basis: None,
-            }),
-            LpStatus::Infeasible => Err(SolveError::Infeasible(
-                "sparse relaxation infeasible — model/instance mismatch".into(),
-            )),
-            LpStatus::Unbounded => Err(SolveError::Unsupported(
-                "sparse relaxation unbounded — model must be bounded below".into(),
-            )),
+            })
         }
+        // A budget-capped run still carries the Lagrangian dual
+        // bound of its last basis when one is finite — an honest
+        // "best proven so far" instead of a stale primal objective.
+        LpStatus::IterLimit | LpStatus::TimeLimit => Ok(SolveResult {
+            schedule,
+            cost,
+            status: SolveStatus::TimedOut,
+            nodes: sol.iterations,
+            lower_bound: sol
+                .dual_bound
+                .map(|b| ceil_bound(b + reduced.objective_offset())),
+            stats,
+            basis: None,
+        }),
+        LpStatus::Infeasible => Err(SolveError::Infeasible(
+            "sparse relaxation infeasible — model/instance mismatch".into(),
+        )),
+        LpStatus::Unbounded => Err(SolveError::Unsupported(
+            "sparse relaxation unbounded — model must be bounded below".into(),
+        )),
     }
 }
 
@@ -577,7 +535,7 @@ mod tests {
     fn lp_bound_certifies_uniprocessor_optimum() {
         let inst = chain(&[3, 2], 0, 5);
         let profile = PowerProfile::from_parts(vec![0, 3, 8, 12], vec![0, 5, 1]);
-        let res = LpSolver::default()
+        let res = crate::SolverKind::Lp
             .solve(&inst, &profile, Budget::default())
             .unwrap();
         let dp = crate::dp::dp_polynomial(&inst, &profile);

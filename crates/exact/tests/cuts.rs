@@ -12,9 +12,7 @@ mod support;
 
 use cawo_core::enhanced::UnitInfo;
 use cawo_core::{carbon_cost, Instance, Schedule};
-use cawo_exact::{
-    root_cut_loop, Budget, MilpSolver, SolveStatus, Solver, SolverKind, SparseA4Model,
-};
+use cawo_exact::{root_cut_loop, Budget, SolveStatus, SolverKind, SparseA4Model};
 use cawo_graph::dag::DagBuilder;
 use cawo_lp::{LpStatus, SimplexOptions, SimplexSolver};
 use cawo_platform::{PowerProfile, Time};
@@ -163,7 +161,7 @@ fn cover_cuts_lift_the_zero_bound_under_contention() {
         after > before + 1e-6,
         "cover cuts did not lift the bound: {before} -> {after}"
     );
-    let milp = MilpSolver::default()
+    let milp = SolverKind::Milp
         .solve(&inst, &profile, Budget::default())
         .unwrap();
     assert_eq!(milp.status, SolveStatus::Optimal);
@@ -194,12 +192,11 @@ fn milp_with_cuts_matches_dense_oracle_and_bnb() {
         pigeonhole_triple(),
     ];
     for (inst, profile) in cases {
-        let milp = MilpSolver::default()
+        let milp = SolverKind::Milp
             .solve(inst, profile, Budget::default())
             .unwrap();
         let dense = dense_milp_cost(inst, profile);
         let bnb = SolverKind::Bnb
-            .build()
             .solve(inst, profile, Budget::default())
             .unwrap();
         assert_eq!(milp.status, SolveStatus::Optimal);

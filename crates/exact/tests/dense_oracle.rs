@@ -10,7 +10,7 @@ mod support;
 
 use cawo_core::enhanced::UnitInfo;
 use cawo_core::Instance;
-use cawo_exact::{Budget, MilpSolver, SolveStatus, Solver};
+use cawo_exact::{Budget, SolveStatus, SolverKind};
 use cawo_graph::dag::DagBuilder;
 use cawo_platform::{PowerProfile, Time};
 use support::milp::{solve_milp, MilpConfig, MilpOutcome};
@@ -276,7 +276,7 @@ fn sparse_milp_matches_dense_on_chains() {
         0,
     );
     let profile = PowerProfile::from_parts(vec![0, 4, 10], vec![3, 6]);
-    let sparse = MilpSolver::default()
+    let sparse = SolverKind::Milp
         .solve(&inst, &profile, Budget::default())
         .unwrap();
     assert_eq!(sparse.status, SolveStatus::Optimal);

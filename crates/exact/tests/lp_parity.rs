@@ -21,7 +21,7 @@ use rand::{Rng, SeedableRng};
 
 use cawo_core::enhanced::UnitInfo;
 use cawo_core::Instance;
-use cawo_exact::{Budget, IlpModel, LpSolver, MilpSolver, SolveStatus, Solver, SparseA4Model};
+use cawo_exact::{Budget, IlpModel, SolveStatus, SolverKind, SparseA4Model};
 use cawo_graph::dag::DagBuilder;
 use cawo_lp::{presolve, LpStatus, SimplexOptions, SimplexSolver};
 use cawo_platform::{PowerProfile, Time};
@@ -29,7 +29,8 @@ use support::milp::lp_relaxation;
 use support::simplex::{solve_lp, LpCmp, LpOutcome, LpProblem};
 use support::{dense_lp_bound, dense_milp_cost, sparse_from_lp_problem};
 
-/// Single-unit chain instance (the shape all seven solvers accept).
+/// Single-unit chain instance (the shape all five registered solvers
+/// accept).
 fn chain(exec: &[Time], p_idle: u64, p_work: u64) -> Instance {
     let n = exec.len();
     let mut b = DagBuilder::new(n);
@@ -208,9 +209,7 @@ fn sparse_solvers_agree_with_dense_oracles_and_bnb() {
         let bnb = cawo_exact::solve_exact(&inst, &profile, Default::default());
         assert!(bnb.optimal, "trial {trial}");
 
-        let sparse_milp = MilpSolver::default()
-            .solve(&inst, &profile, budget)
-            .unwrap();
+        let sparse_milp = SolverKind::Milp.solve(&inst, &profile, budget).unwrap();
         assert_eq!(sparse_milp.status, SolveStatus::Optimal, "trial {trial}");
         assert_eq!(sparse_milp.cost, bnb.cost, "trial {trial}: sparse milp");
 
@@ -222,7 +221,7 @@ fn sparse_solvers_agree_with_dense_oracles_and_bnb() {
 
         // Both LP bounds are valid and the sparse solver reports
         // honestly.
-        let lp = LpSolver::default().solve(&inst, &profile, budget).unwrap();
+        let lp = SolverKind::Lp.solve(&inst, &profile, budget).unwrap();
         assert!(lp.cost >= bnb.cost, "trial {trial}: lp");
         for (label, lb) in [
             ("lp", lp.lower_bound.unwrap_or(0)),

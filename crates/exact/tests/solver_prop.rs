@@ -1,5 +1,5 @@
-//! Differential property suite over the unified [`Solver`] interface:
-//! every registered solver, on random instances, must
+//! Differential property suite over the solver registry
+//! ([`SolverKind`]): every registered solver, on random instances, must
 //!
 //! * return a schedule that validates against the deadline,
 //! * report a `cost` equal to `CostEngine::total_cost` of that schedule
@@ -7,13 +7,20 @@
 //! * never claim a lower bound above its own cost,
 //! * and all solvers concluding [`SolveStatus::Optimal`] must agree on
 //!   one optimal cost, which no heuristic may beat.
+//!
+//! On chains the two exact-method library functions outside the
+//! registry are held to the same optimum: the pseudo-polynomial DP must
+//! reach it, and the Lemma 4.2 E-schedule transformation must land
+//! between it and the heuristic schedule it starts from.
 
 #![expect(clippy::unwrap_used, reason = "fixture helpers outside #[test] unwrap")]
 use proptest::prelude::*;
 
 use cawo_core::enhanced::UnitInfo;
-use cawo_core::{CostEngine, DenseGrid, Instance, Variant};
-use cawo_exact::{Budget, SolveError, SolveStatus, SolverKind};
+use cawo_core::{CostEngine, DenseGrid, Instance, Schedule, Variant};
+use cawo_exact::{
+    dp_pseudo_polynomial, is_e_schedule, to_e_schedule, Budget, SolveError, SolveStatus, SolverKind,
+};
 use cawo_graph::dag::DagBuilder;
 use cawo_platform::{PowerProfile, Time};
 
@@ -61,7 +68,7 @@ fn check_all_solvers(
     let mut optimal: Option<(SolverKind, u64)> = None;
     let mut feasible_costs: Vec<(SolverKind, u64)> = Vec::new();
     for kind in SolverKind::ALL {
-        match kind.build().solve(inst, profile, budget) {
+        match kind.solve(inst, profile, budget) {
             Ok(res) => {
                 prop_assert!(
                     res.schedule.validate(inst, profile.deadline()).is_ok(),
@@ -117,9 +124,9 @@ fn check_all_solvers(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    // Uniprocessor chains are the regime where *all seven* solvers
-    // apply (instances are kept tiny so even the simplex-backed MILP
-    // terminates).
+    // Uniprocessor chains are the regime where *all five* registered
+    // solvers apply (instances are kept tiny so even the
+    // simplex-backed MILP terminates).
     #[test]
     fn every_solver_honours_the_contract_on_chains(
         exec in proptest::collection::vec(1u64..3, 1..3),
@@ -132,7 +139,7 @@ proptest! {
         let total: Time = exec.iter().sum();
         let profile = spread_profile(total + slack, &budgets);
         let optimal = check_all_solvers(&inst, &profile, Budget::nodes(2_000_000))?;
-        // On these tiny chains bnb and both DPs always finish.
+        // On these tiny chains bnb and dp always finish.
         prop_assert!(optimal.is_some(), "no solver proved optimality");
         // The heuristics never beat the proven optimum.
         let opt = optimal.unwrap();
@@ -141,9 +148,31 @@ proptest! {
             let c = DenseGrid::build(&inst, &s, &profile).total_cost();
             prop_assert!(c >= opt, "{v} beat the optimum");
         }
+        // The pseudo-polynomial DP is exact too.
+        prop_assert_eq!(dp_pseudo_polynomial(&inst, &profile).cost, opt);
+        // Lemma 4.2: normalising the pressWR-LS schedule yields a valid
+        // E-schedule, priced honestly, that never regresses and never
+        // beats the optimum. On chains this small pressWR-LS is often
+        // aligned already, so ASAP delayed by one time unit (valid:
+        // slack ≥ 1) is normalised too.
+        let delayed = Schedule::new(inst.asap_schedule().starts().iter().map(|s| s + 1).collect());
+        for seed in [Variant::PressWRLs.run(&inst, &profile), delayed] {
+            let seed_cost = DenseGrid::build(&inst, &seed, &profile).total_cost();
+            let (e, e_cost) = to_e_schedule(&inst, &profile, &seed);
+            prop_assert!(e.validate(&inst, profile.deadline()).is_ok());
+            prop_assert!(is_e_schedule(&inst, &profile, &e));
+            prop_assert_eq!(e_cost, DenseGrid::build(&inst, &e, &profile).total_cost());
+            prop_assert!(
+                opt <= e_cost && e_cost <= seed_cost,
+                "E-schedule cost {} outside [{}, {}]",
+                e_cost,
+                opt,
+                seed_cost
+            );
+        }
     }
 
-    // Random multi-unit DAGs: the uniprocessor methods must decline
+    // Random multi-unit DAGs: the uniprocessor method must decline
     // cleanly while the general-purpose solvers stay in agreement.
     #[test]
     fn solvers_honour_the_contract_on_multiunit_dags(
@@ -179,14 +208,12 @@ proptest! {
         let profile = spread_profile(inst.asap_makespan() + slack, &budgets);
         let optimal = check_all_solvers(&inst, &profile, Budget::nodes(2_000_000))?;
         prop_assert!(optimal.is_some(), "bnb should prove these tiny instances");
-        // Both tasks sit on two units, so the uniprocessor methods must
+        // Both tasks sit on two units, so the uniprocessor method must
         // have declined rather than answered.
-        for kind in [SolverKind::Dp, SolverKind::DpPseudo, SolverKind::Eschedule] {
-            prop_assert!(matches!(
-                kind.build().solve(&inst, &profile, Budget::default()),
-                Err(SolveError::Unsupported(_))
-            ));
-        }
+        prop_assert!(matches!(
+            SolverKind::Dp.solve(&inst, &profile, Budget::default()),
+            Err(SolveError::Unsupported(_))
+        ));
     }
 
     // A wall-clock budget of zero must degrade every solver to a
@@ -205,7 +232,7 @@ proptest! {
             time_limit: Some(std::time::Duration::ZERO),
         };
         for kind in SolverKind::ALL {
-            match kind.build().solve(&inst, &profile, budget) {
+            match kind.solve(&inst, &profile, budget) {
                 Ok(res) => {
                     prop_assert!(res.schedule.validate(&inst, profile.deadline()).is_ok());
                     prop_assert_eq!(

@@ -7,7 +7,7 @@
 //! template of per-sample pipeline stages plus global aggregation stages,
 //! instantiated for however many samples are needed to reach the target
 //! vertex count — exactly the structural scaling WfGen performs with a
-//! model graph (see DESIGN.md, Substitution 2).
+//! model graph (see docs/ARCHITECTURE.md, "Substitutions").
 //!
 //! Vertex and edge weights follow a normal distribution with vertex
 //! weights "in general larger than edge weights" (§6.1); all weights are

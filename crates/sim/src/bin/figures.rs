@@ -5,8 +5,7 @@
 //! artifact ∈ {table1, table2, fig1, fig2, …, fig8, fig10, …, fig17, all}
 //! ```
 //!
-//! Each handler prints the same rows/series the paper plots; measured
-//! outcomes are recorded in EXPERIMENTS.md.
+//! Each handler prints the same rows/series the paper plots.
 
 #![expect(clippy::print_stdout, clippy::print_stderr, reason = "a CLI binary")]
 

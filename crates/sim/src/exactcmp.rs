@@ -2,11 +2,11 @@
 //!
 //! The paper compares the heuristics against Gurobi-optimal solutions on
 //! instances with up to 200 tasks. Our exact solver is the
-//! branch-and-bound of `cawo-exact` (DESIGN.md, Substitution 1), whose
-//! tractable ceiling is lower, so this grid uses small workflows with
-//! deliberately small weights on tiny heterogeneous clusters; the
-//! measured quantity — `optimal cost / heuristic cost` per variant — is
-//! the same as the paper's.
+//! branch-and-bound of `cawo-exact` (docs/ARCHITECTURE.md,
+//! "Substitutions"), whose tractable ceiling is lower, so this grid uses
+//! small workflows with deliberately small weights on tiny heterogeneous
+//! clusters; the measured quantity — `optimal cost / heuristic cost` per
+//! variant — is the same as the paper's.
 
 use rayon::prelude::*;
 

@@ -21,7 +21,7 @@ use rayon::prelude::*;
 
 use cawo_cache::{CacheOutcome, SolveCache};
 use cawo_core::{carbon_cost, Cost, EngineKind, Instance, RunParams, Variant};
-use cawo_exact::{Budget, SolveError, SolveStatus, SolverKind};
+use cawo_exact::{Budget, SolveError, SolveStatus, SolverKind, WarmStart};
 use cawo_graph::generator::{self, Family, PaperInstance};
 use cawo_heft::heft_schedule;
 use cawo_platform::{
@@ -587,8 +587,13 @@ pub fn run_one(
         let outcome = match &cfg.cache {
             Some(cache) => cache.solve(kind, cfg.engine, inst, &profile, cfg.solver_budget),
             None => kind
-                .build_with_engine(cfg.engine)
-                .solve(inst, &profile, cfg.solver_budget)
+                .solve_with(
+                    cfg.engine,
+                    inst,
+                    &profile,
+                    cfg.solver_budget,
+                    &WarmStart::default(),
+                )
                 .map(|res| (res, CacheOutcome::Cold)),
         };
         let millis = t0.elapsed().as_secs_f64() * 1e3;

@@ -1,7 +1,8 @@
 //! Experiment harness reproducing the CaWoSched evaluation (§6).
 //!
-//! Replaces the paper's simexpal-managed C++ campaign (DESIGN.md,
-//! Substitution 3) with a deterministic, rayon-parallel grid runner:
+//! Replaces the paper's simexpal-managed C++ campaign
+//! (docs/ARCHITECTURE.md, "Substitutions") with a deterministic,
+//! rayon-parallel grid runner:
 //!
 //! * [`experiment`] — instance grid (workflow × cluster × scenario ×
 //!   deadline), instantiation and execution of all 17 algorithm variants

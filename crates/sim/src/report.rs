@@ -3,7 +3,7 @@
 //! The paper's figures are plots; these helpers print the identical
 //! underlying rows/series as aligned text and markdown tables so the
 //! shapes (who wins, by what factor, where crossovers fall) can be read
-//! off and recorded in EXPERIMENTS.md.
+//! off.
 
 use std::fmt::Write as _;
 

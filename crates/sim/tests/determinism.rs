@@ -8,7 +8,7 @@
 
 use cawo_core::enhanced::UnitInfo;
 use cawo_core::{Instance, Variant};
-use cawo_exact::{BnbSolver, Budget, Solver};
+use cawo_exact::{Budget, SolverKind};
 use cawo_graph::dag::DagBuilder;
 use cawo_platform::{Cluster, DeadlineFactor, ProfileConfig, Scenario, TraceConfig, TraceSource};
 use cawo_sim::experiment::{run_grid, ExperimentConfig, GridScale, TraceScenario};
@@ -113,8 +113,6 @@ fn exhausted_bnb_optima_are_bit_identical_at_1_and_4_threads() {
     );
     // The cluster only feeds the profile's power band.
     let cluster = Cluster::tiny(&[3], 2);
-    let solver = BnbSolver::default();
-    assert!(solver.parallel, "grid path must default to parallel");
     let mut profiles = Vec::new();
     for scenario in Scenario::ALL {
         profiles.push((
@@ -130,10 +128,10 @@ fn exhausted_bnb_optima_are_bit_identical_at_1_and_4_threads() {
     ));
     for (label, profile) in &profiles {
         let a = one
-            .install(|| solver.solve(&inst, profile, Budget::default()))
+            .install(|| SolverKind::Bnb.solve(&inst, profile, Budget::default()))
             .unwrap_or_else(|e| panic!("{label}: {e}"));
         let b = four
-            .install(|| solver.solve(&inst, profile, Budget::default()))
+            .install(|| SolverKind::Bnb.solve(&inst, profile, Budget::default()))
             .unwrap_or_else(|e| panic!("{label}: {e}"));
         // Equality below is only meaningful when the search space was
         // exhausted; a budget cut-off would make the incumbent depend

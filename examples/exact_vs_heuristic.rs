@@ -104,15 +104,12 @@ fn main() {
         dp.cost
     );
 
-    // The same comparison through the unified Solver interface: every
-    // registered solver on the same instance with one budget, reporting
-    // its own status ("unsupported" where the method does not apply).
+    // The same comparison through the solver registry: every registered
+    // solver on the same instance with one budget, reporting its own
+    // status ("unsupported" where the method does not apply).
     println!("\n{:<10} {:>10} {:>10}  note", "solver", "cost", "status");
     for kind in SolverKind::ALL {
-        match kind
-            .build()
-            .solve(&uni_inst, &uni_profile, Budget::nodes(2_000_000))
-        {
+        match kind.solve(&uni_inst, &uni_profile, Budget::nodes(2_000_000)) {
             Ok(res) => println!(
                 "{:<10} {:>10} {:>10}  {}",
                 kind.name(),

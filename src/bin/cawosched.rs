@@ -22,6 +22,7 @@
 use std::io::Read;
 use std::time::Instant;
 
+use cawosched::exact::WarmStart;
 use cawosched::graph::dot;
 use cawosched::graph::wfjson::{from_wfcommons_json, WfJsonOptions};
 use cawosched::prelude::*;
@@ -372,9 +373,14 @@ fn schedule_cmd(o: &Options) {
                 let solved = if o.cache {
                     cache.solve(kind, o.engine, &inst, &profile, o.solver_budget)
                 } else {
-                    kind.build_with_engine(o.engine)
-                        .solve(&inst, &profile, o.solver_budget)
-                        .map(|res| (res, CacheOutcome::Cold))
+                    kind.solve_with(
+                        o.engine,
+                        &inst,
+                        &profile,
+                        o.solver_budget,
+                        &WarmStart::default(),
+                    )
+                    .map(|res| (res, CacheOutcome::Cold))
                 };
                 match solved {
                     Ok((res, outcome)) => {
@@ -451,8 +457,13 @@ fn evaluate_cmd(o: &Options) {
     }
     for &kind in &o.solvers {
         let _s = cawo_obs::span("cli", "solver");
-        let solver = kind.build_with_engine(o.engine);
-        match solver.solve(&inst, &profile, o.solver_budget) {
+        match kind.solve_with(
+            o.engine,
+            &inst,
+            &profile,
+            o.solver_budget,
+            &WarmStart::default(),
+        ) {
             Ok(res) => println!(
                 "{:<14} {:>12} {:>8.3} {:>12}",
                 kind.name(),

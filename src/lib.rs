@@ -15,11 +15,11 @@
 //! * [`lp`] — the sparse bounded-variable revised-simplex LP engine
 //!   (CSC matrices, presolve, LU + eta updates, warm starts) behind
 //!   the paper-scale `milp`/`lp` solvers.
-//! * [`exact`] — exact optimality references behind the unified
-//!   `Solver` trait: uniprocessor dynamic programs, the time-indexed
-//!   ILP model, branch-and-bound, the compact sparse A.4 model on
-//!   [`lp`] and the E-schedule normalisation, each selectable via
-//!   `SolverKind`.
+//! * [`exact`] — exact optimality references: uniprocessor dynamic
+//!   programs, the time-indexed ILP model, branch-and-bound, the compact
+//!   sparse A.4 model on [`lp`] and the E-schedule normalisation; the
+//!   `SolverKind` registry selects and runs `bnb`, `dp`, `ilp`, `milp`
+//!   and `lp`.
 //! * [`cache`] — the warm-path serving layer: content-addressed solve
 //!   cache (exact-key hits, warm-state re-solves, incremental
 //!   trace-tail re-answers).
@@ -61,7 +61,7 @@ pub use cawo_sim as sim;
 pub mod prelude {
     pub use cawo_cache::{CacheOutcome, SolveCache};
     pub use cawo_core::{carbon_cost, Cost, EngineKind, Instance, RunParams, Schedule, Variant};
-    pub use cawo_exact::{Budget, SolveStatus, Solver, SolverKind};
+    pub use cawo_exact::{Budget, SolveStatus, SolverKind};
     pub use cawo_graph::generator::{generate, Family, GeneratorConfig};
     pub use cawo_graph::{Workflow, WorkflowBuilder};
     pub use cawo_heft::{heft_schedule, Mapping};

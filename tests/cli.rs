@@ -340,6 +340,8 @@ fn bad_arguments_fail_cleanly() {
         vec!["schedule", "--solver", "gurobi"],
         vec!["schedule", "--solver", "bnb,dp"],
         vec!["schedule", "--solver", "milp-dense"],
+        vec!["schedule", "--solver", "dp-pseudo"],
+        vec!["evaluate", "--solver", "eschedule"],
         vec!["schedule", "--solver-budget", "fast"],
         vec!["schedule", "--solver-budget", "-1s"],
         vec!["schedule", "--trace", "/nonexistent/trace.csv"],
@@ -350,6 +352,12 @@ fn bad_arguments_fail_cleanly() {
         let out = bin().args(&args).output().expect("binary runs");
         assert!(!out.status.success(), "args {args:?} should fail");
         assert_eq!(out.status.code(), Some(2));
+        // The pseudo-polynomial DP is a library function, not a
+        // registry entry; the usage text lists only the registry.
+        if args == ["schedule", "--solver", "dp-pseudo"] {
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains("--solver bnb|dp|ilp|milp|lp]"), "{stderr}");
+        }
     }
 }
 
