@@ -257,3 +257,93 @@ fn warm_started_exact_solves_reach_the_cold_optimum() {
         }
     }
 }
+
+/// A 25-task chain (execution times `2, 3, 4, …`, `P_idle` 1,
+/// `P_work` 5, slack 50) under six equal intervals with the given
+/// budgets: a relaxation that takes the simplex some pivots.
+fn chain25(budgets: &[u64]) -> (Instance, PowerProfile) {
+    let n = 25;
+    let mut b = DagBuilder::new(n);
+    for i in 1..n {
+        b.add_edge(i as u32 - 1, i as u32);
+    }
+    let exec: Vec<u64> = (0..n).map(|i| 2 + (i as u64 % 3)).collect();
+    let horizon = exec.iter().sum::<u64>() + 2 * n as u64;
+    let inst = Instance::from_raw(
+        b.build().unwrap(),
+        exec,
+        vec![0; n],
+        vec![UnitInfo {
+            p_idle: 1,
+            p_work: 5,
+            is_link: false,
+        }],
+        0,
+    );
+    let k = budgets.len() as u64;
+    let bounds = (0..=k).map(|i| horizon * i / k).collect();
+    (inst, PowerProfile::from_parts(bounds, budgets.to_vec()))
+}
+
+#[test]
+fn warm_lp_resolves_keep_the_cold_bound() {
+    let inst = two_unit_instance();
+    let cluster = Cluster::tiny(&[3, 5], 2);
+    let engine = EngineKind::default();
+    let budget = Budget::default();
+    let old = ProfileConfig::new(Scenario::SolarMorning, DeadlineFactor::X20, 7)
+        .build(&cluster, inst.asap_makespan());
+    let cache = SolveCache::new();
+    let (seed, outcome) = cache
+        .solve(SolverKind::Lp, engine, &inst, &old, budget)
+        .expect("seed solve");
+    assert_eq!(outcome, CacheOutcome::Cold);
+    assert!(
+        seed.basis.is_some(),
+        "a cold lp answer carries its root basis"
+    );
+    for (name, profile) in &profile_zoo(&cluster, inst.asap_makespan()) {
+        let cold = SolverKind::Lp
+            .solve_with(engine, &inst, profile, budget, &WarmStart::default())
+            .unwrap_or_else(|e| panic!("lp cold on {name}: {e}"));
+        let (warmed, outcome) = cache
+            .solve(SolverKind::Lp, engine, &inst, profile, budget)
+            .unwrap_or_else(|e| panic!("lp warm on {name}: {e}"));
+        assert_eq!(outcome, CacheOutcome::Warm, "{name}");
+        assert_eq!(warmed.lower_bound, cold.lower_bound, "{name}: bound moved");
+        assert!(
+            warmed.cost <= cold.cost,
+            "{name}: warm cost {} above cold {}",
+            warmed.cost,
+            cold.cost
+        );
+    }
+
+    // The returned basis is the optimal one of the full model: a
+    // restart from it on the same profile takes no pivot, and a revised
+    // forecast re-solves warm from it to the cold bound.
+    let (chain, base) = chain25(&[0, 4, 0, 4, 0, 4]);
+    let (_, revised) = chain25(&[0, 4, 0, 3, 0, 3]);
+    let cache = SolveCache::new();
+    let (first, _) = cache
+        .solve(SolverKind::Lp, engine, &chain, &base, budget)
+        .expect("chain solve");
+    assert!(first.nodes > 0, "the chain relaxation takes pivots");
+    let restart = WarmStart {
+        incumbent: None,
+        basis: first.basis.clone(),
+    };
+    let again = SolverKind::Lp
+        .solve_with(engine, &chain, &base, budget, &restart)
+        .expect("restart");
+    assert_eq!((again.nodes, again.lower_bound), (0, first.lower_bound));
+    let cold = SolverKind::Lp
+        .solve(&chain, &revised, budget)
+        .expect("revised cold");
+    let (warmed, outcome) = cache
+        .solve(SolverKind::Lp, engine, &chain, &revised, budget)
+        .expect("revised warm");
+    assert_eq!(outcome, CacheOutcome::Warm);
+    assert_eq!(warmed.lower_bound, cold.lower_bound);
+    assert!(warmed.cost <= cold.cost);
+}

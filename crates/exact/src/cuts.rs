@@ -42,10 +42,10 @@ use std::time::Instant;
 
 use cawo_core::Instance;
 use cawo_graph::NodeId;
-use cawo_lp::{LpSolution, LpStatus, RowCmp, SimplexOptions, SimplexSolver, VStat};
+use cawo_lp::{LpSolution, LpStatus, RowCmp, SimplexSolver, VStat};
 use cawo_platform::{PowerProfile, Time};
 
-use crate::sparse_model::SparseA4Model;
+use crate::sparse_model::{simplex_options, SparseA4Model};
 
 /// Minimum violation for a cut to be worth a row.
 const CUT_TOL: f64 = 1e-4;
@@ -403,22 +403,8 @@ pub fn root_cut_loop(
         *simplex = SimplexSolver::new(&model.lp);
         simplex.set_basis(&basis);
 
-        let opts = match deadline {
-            None => SimplexOptions::default(),
-            Some(d) => {
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "rescaling the opt-in time budget."
-                )]
-                let now = Instant::now();
-                if now >= d {
-                    return (root, stats);
-                }
-                SimplexOptions {
-                    time_limit: Some(d - now),
-                    ..SimplexOptions::default()
-                }
-            }
+        let Some(opts) = simplex_options(deadline) else {
+            return (root, stats);
         };
         let sol = simplex.solve(&opts);
         stats.resolve_iters += sol.iterations;

@@ -21,7 +21,8 @@
 //! * [`sparse_model`] — the compact windowed A.4 formulation
 //!   (EST/LST-restricted start binaries, aggregated precedence, implied
 //!   brown power) that [`cawo_lp`]'s revised simplex solves at scale,
-//!   and the LP-relaxation bound solver over it,
+//!   the root relaxation `lp` and `milp` both start from, and the
+//!   LP-relaxation bound solver over it,
 //! * [`reduction`] — the 3-Partition gadget of the strong NP-completeness
 //!   proof (§4.2 / Appendix A.3), used as an adversarial test generator.
 //!

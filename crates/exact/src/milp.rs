@@ -17,19 +17,17 @@
 //! relaxation surfaces as a [`crate::solver::SolveError`] so an
 //! experiment-grid run records a status instead of crashing.
 
-use std::time::Instant;
-
 use cawo_core::Instance;
-use cawo_lp::{LpStatus, SimplexOptions, SimplexSolver};
+use cawo_lp::{LpStatus, SimplexOptions};
 use cawo_platform::{PowerProfile, Time};
 
 use crate::cuts::root_cut_loop;
-use crate::solver::{
-    warm_incumbent, Budget, SolveError, SolveResult, SolveStats, SolveStatus, WarmStart,
+use crate::solver::{Budget, SolveError, SolveResult, SolveStatus, WarmStart};
+use crate::sparse_model::{
+    ceil_bound, engine_cost, simplex_options, solve_root, Root, RootOutcome, SparseA4Model,
 };
-use crate::sparse_model::{ceil_bound, engine_cost, SparseA4Model};
 
-/// Refuse models with more columns than this (memory guard).
+/// Column cap of the `milp` entry (memory guard).
 const MAX_COLS: usize = 2_000_000;
 /// Integrality tolerance on the `s` columns.
 const INT_TOL: f64 = 1e-6;
@@ -151,102 +149,37 @@ fn select_branch(
 /// branch-and-bound over `cawo_lp`'s revised simplex with warm-started
 /// nodes and window-split branching.
 ///
-/// The search is seeded with the strongest heuristic incumbent (or the
-/// warm one, when it is better), so even a truncated run returns an
-/// integer-feasible schedule; a completed root relaxation attaches a
-/// proven lower bound and certifies optimality outright whenever the
-/// incumbent meets it.
+/// The search starts from the root relaxation the `lp` entry also
+/// answers from ([`solve_root`]), seeded with the strongest heuristic
+/// incumbent (or the warm one, when it is better), so even a truncated
+/// run returns an integer-feasible schedule; a completed root
+/// relaxation attaches a proven lower bound and certifies optimality
+/// outright whenever the incumbent meets it.
 pub(crate) fn solve(
     inst: &Instance,
     profile: &PowerProfile,
     budget: Budget,
     warm: &WarmStart,
 ) -> Result<SolveResult, SolveError> {
-    // Guard before building: the estimate bounds the real column
-    // count from above, so nothing oversized is ever allocated.
-    let est_cols = SparseA4Model::column_count_for(inst, profile);
-    if est_cols > MAX_COLS {
-        return Err(SolveError::Unsupported(format!(
-            "sparse model needs ≈{est_cols} columns (cap {MAX_COLS})"
-        )));
-    }
-    let mut model = SparseA4Model::build(inst, profile);
-    let deadline = budget.deadline_from_now();
-    let opts_for = |deadline: Option<Instant>| -> Option<SimplexOptions> {
-        match deadline {
-            None => Some(SimplexOptions::default()),
-            Some(d) => {
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "rescaling the opt-in time budget."
-                )]
-                let now = Instant::now();
-                (now < d).then(|| SimplexOptions {
-                    time_limit: Some(d - now),
-                    ..SimplexOptions::default()
-                })
-            }
-        }
-    };
-    let (mut best_sched, mut best_cost) = warm_incumbent(inst, profile, warm);
+    let root = solve_root(inst, profile, budget, warm, MAX_COLS)?;
     let mut nodes: u64 = 1;
     cawo_obs::inc(cawo_obs::Ctr::MilpNodes); // the root node
-    let mut stats = SolveStats::default();
-
-    let mut simplex = SimplexSolver::new(&model.lp);
-    // A warm basis from a previous solve of the same query restarts
-    // the root in a handful of (dual) pivots. `set_basis` rejects a
-    // dimension mismatch — the column layout depends on the
-    // profile's budgets, so a shifted trace can invalidate the
-    // token — in which case the incumbent is crashed into a
-    // primal-feasible basis instead: the root relaxation then
-    // starts in phase 2 at the incumbent's objective.
-    let warmed = warm.basis.as_ref().is_some_and(|b| simplex.set_basis(b));
-    if !warmed {
-        simplex.set_basis(&model.crash_basis(inst, &best_sched));
-    }
-    let Some(opts) = opts_for(deadline) else {
-        return Ok(SolveResult {
-            schedule: best_sched,
-            cost: best_cost,
-            status: SolveStatus::TimedOut,
-            nodes,
-            lower_bound: None,
-            stats,
-            basis: None,
-        });
+    let Root {
+        mut model,
+        mut simplex,
+        sol: root,
+        schedule: mut best_sched,
+        cost: mut best_cost,
+        deadline,
+        mut stats,
+    } = match root {
+        RootOutcome::Solved(root) => *root,
+        RootOutcome::TimedOut(res) => return Ok(SolveResult { nodes, ..res }),
     };
-    let root = simplex.solve(&opts);
     // Harvest the warm-start token before cut rows change the
     // model's row count: a future solve builds a pristine model, so
     // only the pre-cut basis has matching dimensions.
     let root_basis = root.basis.clone();
-    stats.lp_iterations += root.iterations;
-    stats.dual_iterations += root.stats.dual_iters;
-    match root.status {
-        LpStatus::Infeasible => {
-            return Err(SolveError::Infeasible(
-                "A.4 sparse relaxation infeasible — model/instance mismatch".into(),
-            ))
-        }
-        LpStatus::Unbounded => {
-            return Err(SolveError::Unsupported(
-                "MILP relaxation unbounded — model must be bounded".into(),
-            ))
-        }
-        LpStatus::IterLimit | LpStatus::TimeLimit => {
-            return Ok(SolveResult {
-                schedule: best_sched,
-                cost: best_cost,
-                status: SolveStatus::TimedOut,
-                nodes,
-                lower_bound: root.dual_bound.map(ceil_bound),
-                stats,
-                basis: Some(root_basis),
-            });
-        }
-        LpStatus::Optimal => {}
-    }
     // Root cut pass: disaggregated precedence + cover cuts lift the
     // often-zero aggregated bound before any branching happens. The
     // rows stay in the model for the whole search (valid for every
@@ -418,7 +351,7 @@ pub(crate) fn solve(
                 for t in forbid.0..=forbid.1 {
                     simplex.set_col_bounds(model.s_col(v, t) as usize, 0.0, 0.0);
                 }
-                match opts_for(deadline) {
+                match simplex_options(deadline) {
                     None => exhausted = false,
                     Some(opts) => {
                         // Cap per-node pivots so one stalled

@@ -121,12 +121,13 @@ impl Budget {
     }
 
     /// The wall-clock deadline implied by the time limit, anchored now.
+    /// A limit too large for an [`Instant`] to represent is no deadline.
     #[expect(
         clippy::disallowed_methods,
         reason = "opt-in time budget: `time_limit` is documented as non-reproducible; the default (None) never reads the clock."
     )]
     pub(crate) fn deadline_from_now(&self) -> Option<Instant> {
-        self.time_limit.map(|d| Instant::now() + d)
+        self.time_limit.and_then(|d| Instant::now().checked_add(d))
     }
 }
 
@@ -171,10 +172,10 @@ pub struct SolveResult {
     /// Work counters explaining how the verdict was reached.
     pub stats: SolveStats,
     /// Warm-start token for a future re-solve of the same query: the
-    /// root LP basis in the pristine model's full column space
-    /// (LP-based methods only; `None` where the method has no LP, or
-    /// where only a presolve-reduced basis exists). Captured *before*
-    /// root cuts so its dimensions match a freshly built model.
+    /// root LP basis of the compact model (`lp` and `milp` only; `None`
+    /// where the method has no LP or the budget ran out before the root
+    /// solve began). Captured *before* root cuts so its dimensions
+    /// match a freshly built model.
     pub basis: Option<cawo_lp::Basis>,
 }
 
@@ -208,9 +209,10 @@ impl std::error::Error for SolveError {}
 pub struct WarmStart {
     /// A feasible schedule from a previous solve of a related query.
     /// Used as the incumbent when it beats the cold heuristic (and, in
-    /// the MILP, to crash a primal-feasible starting basis on the new
-    /// model). Schedules that miss the new deadline are repaired via
-    /// [`cawo_core::repair_for_deadline`] before being discarded.
+    /// `milp` and `lp`, to crash a primal-feasible starting basis on the
+    /// new model when no warm basis fits). Schedules that miss the new
+    /// deadline are repaired via [`cawo_core::repair_for_deadline`]
+    /// before being discarded.
     pub incumbent: Option<Schedule>,
     /// A root LP basis captured by a previous [`SolveResult::basis`].
     /// Installed only when its dimensions match the new model — the
@@ -329,9 +331,9 @@ impl SolverKind {
     ///
     /// Only `bnb` prices through `engine`; the other methods ignore it.
     /// `bnb`, `ilp`, `milp` and `lp` fold in the warm incumbent, `milp`
-    /// also the warm basis; `dp` ignores both. A warm start must reach
-    /// the same optimum as a cold solve — the warm-path property suite
-    /// enforces this across solvers.
+    /// and `lp` also the warm basis; `dp` ignores both. A warm start
+    /// must reach the same optimum as a cold solve — the warm-path
+    /// property suite enforces this across solvers.
     pub fn solve_with(
         self,
         engine: EngineKind,
@@ -450,6 +452,11 @@ mod tests {
         assert_eq!(Budget::parse("nans"), None);
         assert_eq!(Budget::parse("infs"), None);
         assert_eq!(Budget::parse("1e300s"), None);
+        // A duration no `Instant` can reach parses, and means no
+        // deadline rather than an overflow.
+        let huge = Budget::parse("10000000000000000000s").unwrap();
+        assert!(huge.time_limit.is_some());
+        assert_eq!(huge.deadline_from_now(), None);
     }
 
     #[test]

@@ -28,13 +28,16 @@
 //!
 //! Integer optima coincide with the A.4 optimum (same schedule space,
 //! same objective), so the LP relaxation is a valid lower bound and
-//! branch-and-bound over the `s` columns is exact — the registry's
-//! `milp` entry ([`crate::milp`]) drives exactly that, and its `lp`
-//! entry (`solve_lp` here) reports the relaxation bound alone.
+//! branch-and-bound over the `s` columns is exact. Both LP entries of
+//! the registry start from one root relaxation (`solve_root` here):
+//! `lp` (`solve_lp`) reports its bound alone, and `milp`
+//! ([`crate::milp`]) cuts and branches on from it.
+
+use std::time::Instant;
 
 use cawo_core::{Bounds, Cost, CostEngine, Instance, IntervalEngine, Schedule};
 use cawo_graph::NodeId;
-use cawo_lp::{presolve, LpStatus, PresolveInfeasible, RowCmp, SimplexOptions, SparseLp};
+use cawo_lp::{LpSolution, LpStatus, RowCmp, SimplexOptions, SimplexSolver, SparseLp};
 use cawo_platform::{PowerProfile, Time};
 
 use crate::solver::{
@@ -372,55 +375,102 @@ pub(crate) fn ceil_bound(objective: f64) -> Cost {
     (objective - 1e-6).ceil().max(0.0) as Cost
 }
 
-/// Column cap of the relaxation (memory guard; the compact model stays
+/// Column cap of the `lp` entry (memory guard; the compact model stays
 /// far below it throughout the paper grid).
 const LP_MAX_COLS: usize = 4_000_000;
 
-/// The registry's `lp` entry: presolve + revised simplex on the compact
-/// model, yielding a *proven lower bound* that certifies (or brackets)
-/// the strongest heuristic incumbent — the status is `optimal` exactly
-/// when the incumbent meets the bound.
-pub(crate) fn solve_lp(
+/// The remaining wall-clock budget as simplex options; `None` once the
+/// deadline has passed.
+pub(crate) fn simplex_options(deadline: Option<Instant>) -> Option<SimplexOptions> {
+    let Some(d) = deadline else {
+        return Some(SimplexOptions::default());
+    };
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "rescaling the opt-in time budget."
+    )]
+    let now = Instant::now();
+    (now < d).then(|| SimplexOptions {
+        time_limit: Some(d - now),
+        ..SimplexOptions::default()
+    })
+}
+
+/// An optimal root relaxation of the compact model, with everything a
+/// caller needs to turn it into an answer or to search on from it.
+pub(crate) struct Root {
+    /// The model the relaxation was solved over.
+    pub model: SparseA4Model,
+    /// The simplex that solved it, left at the optimal basis.
+    pub simplex: SimplexSolver,
+    /// The optimal root solution; its basis is the warm-start token.
+    pub sol: LpSolution,
+    /// The incumbent: the better of the heuristic and the warm one.
+    pub schedule: Schedule,
+    /// The incumbent's cost.
+    pub cost: Cost,
+    /// The wall-clock deadline, anchored before the heuristic ran.
+    pub deadline: Option<Instant>,
+    /// The root solve's LP iterations.
+    pub stats: SolveStats,
+}
+
+/// Where [`solve_root`] left a solve.
+pub(crate) enum RootOutcome {
+    /// The root relaxation is optimal.
+    Solved(Box<Root>),
+    /// The budget ran out at or before the root: the incumbent, the
+    /// Lagrangian bound of the last basis when finite, and the root
+    /// basis as warm-start token. `nodes` counts the root's LP
+    /// iterations.
+    TimedOut(SolveResult),
+}
+
+/// The root relaxation the `lp` and `milp` entries both start from.
+///
+/// Refuses models estimated above `max_cols` columns before building
+/// anything, seeds the incumbent from the heuristic and the warm start,
+/// and installs the warm basis when its dimensions fit the model, else
+/// the incumbent's crash basis, so the root starts in phase 2 at the
+/// incumbent's objective. The deadline is anchored before the heuristic
+/// runs, so the whole call honours the budget.
+pub(crate) fn solve_root(
     inst: &Instance,
     profile: &PowerProfile,
     budget: Budget,
     warm: &WarmStart,
-) -> Result<SolveResult, SolveError> {
+    max_cols: usize,
+) -> Result<RootOutcome, SolveError> {
     // Guard before building: the estimate bounds the real column
     // count from above, so nothing oversized is ever allocated.
     let est_cols = SparseA4Model::column_count_for(inst, profile);
-    if est_cols > LP_MAX_COLS {
+    if est_cols > max_cols {
         return Err(SolveError::Unsupported(format!(
-            "sparse relaxation needs ≈{est_cols} columns (cap {LP_MAX_COLS})"
+            "sparse model needs ≈{est_cols} columns (cap {max_cols})"
         )));
     }
     let model = SparseA4Model::build(inst, profile);
-    // A warm incumbent (when still valid and better than the cold
-    // heuristic) both improves the returned schedule and crashes a
-    // better starting basis below. The raw warm *basis* is not
-    // reusable here: this path presolves, so its simplex runs in
-    // reduced column space while the token lives in full space.
+    let deadline = budget.deadline_from_now();
     let (schedule, cost) = warm_incumbent(inst, profile, warm);
-    let reduced = match presolve(&model.lp) {
-        Ok(r) => r,
-        Err(PresolveInfeasible { reason }) => {
-            return Err(SolveError::Infeasible(format!(
-                "sparse relaxation infeasible in presolve — {reason}"
-            )))
-        }
-    };
-    let opts = SimplexOptions {
-        time_limit: budget.time_limit,
-        ..SimplexOptions::default()
-    };
-    let mut simplex = cawo_lp::SimplexSolver::new(&reduced.lp);
-    // Crash the heuristic incumbent into a primal-feasible basis
-    // and project it through the presolve eliminations: phase 1 is
-    // skipped and phase 2 descends from the incumbent's objective.
-    // A shape mismatch just falls back to the cold slack basis.
-    if let Some(basis) = reduced.map_basis(&model.crash_basis(inst, &schedule)) {
-        simplex.set_basis(&basis);
+    let mut simplex = SimplexSolver::new(&model.lp);
+    // `set_basis` rejects a dimension mismatch: the column layout
+    // depends on the profile's budgets, so a shifted trace can
+    // invalidate a warm token.
+    let warmed = warm.basis.as_ref().is_some_and(|b| simplex.set_basis(b));
+    if !warmed {
+        simplex.set_basis(&model.crash_basis(inst, &schedule));
     }
+    let Some(opts) = simplex_options(deadline) else {
+        return Ok(RootOutcome::TimedOut(SolveResult {
+            schedule,
+            cost,
+            status: SolveStatus::TimedOut,
+            nodes: 0,
+            lower_bound: None,
+            stats: SolveStats::default(),
+            basis: None,
+        }));
+    };
     let sol = simplex.solve(&opts);
     let stats = SolveStats {
         lp_iterations: sol.iterations,
@@ -430,38 +480,31 @@ pub(crate) fn solve_lp(
     match sol.status {
         LpStatus::Optimal => {
             debug_assert!(
-                reduced.lp.max_violation(&sol.x) < 1e-5,
-                "optimal relaxation point violates the reduced model"
+                model.lp.max_violation(&sol.x) < 1e-5,
+                "optimal relaxation point violates the model"
             );
-            let lower_bound = ceil_bound(sol.objective + reduced.objective_offset());
-            Ok(SolveResult {
+            Ok(RootOutcome::Solved(Box::new(Root {
+                model,
+                simplex,
+                sol,
                 schedule,
                 cost,
-                status: if cost <= lower_bound {
-                    SolveStatus::Optimal
-                } else {
-                    SolveStatus::Feasible
-                },
-                nodes: sol.iterations,
-                lower_bound: Some(lower_bound),
+                deadline,
                 stats,
-                basis: None,
-            })
+            })))
         }
         // A budget-capped run still carries the Lagrangian dual
         // bound of its last basis when one is finite — an honest
         // "best proven so far" instead of a stale primal objective.
-        LpStatus::IterLimit | LpStatus::TimeLimit => Ok(SolveResult {
+        LpStatus::IterLimit | LpStatus::TimeLimit => Ok(RootOutcome::TimedOut(SolveResult {
             schedule,
             cost,
             status: SolveStatus::TimedOut,
             nodes: sol.iterations,
-            lower_bound: sol
-                .dual_bound
-                .map(|b| ceil_bound(b + reduced.objective_offset())),
+            lower_bound: sol.dual_bound.map(ceil_bound),
             stats,
-            basis: None,
-        }),
+            basis: Some(sol.basis),
+        })),
         LpStatus::Infeasible => Err(SolveError::Infeasible(
             "sparse relaxation infeasible — model/instance mismatch".into(),
         )),
@@ -469,6 +512,36 @@ pub(crate) fn solve_lp(
             "sparse relaxation unbounded — model must be bounded below".into(),
         )),
     }
+}
+
+/// The registry's `lp` entry: the root relaxation alone, yielding a
+/// *proven lower bound* that certifies (or brackets) the incumbent —
+/// the status is `optimal` exactly when the incumbent meets the bound.
+/// `nodes` counts the simplex iterations.
+pub(crate) fn solve_lp(
+    inst: &Instance,
+    profile: &PowerProfile,
+    budget: Budget,
+    warm: &WarmStart,
+) -> Result<SolveResult, SolveError> {
+    let root = match solve_root(inst, profile, budget, warm, LP_MAX_COLS)? {
+        RootOutcome::Solved(root) => root,
+        RootOutcome::TimedOut(res) => return Ok(res),
+    };
+    let lower_bound = ceil_bound(root.sol.objective);
+    Ok(SolveResult {
+        schedule: root.schedule,
+        cost: root.cost,
+        status: if root.cost <= lower_bound {
+            SolveStatus::Optimal
+        } else {
+            SolveStatus::Feasible
+        },
+        nodes: root.sol.iterations,
+        lower_bound: Some(lower_bound),
+        stats: root.stats,
+        basis: Some(root.sol.basis),
+    })
 }
 
 /// Engine-certified cost of a schedule (used by the sparse solvers to

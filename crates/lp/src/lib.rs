@@ -9,8 +9,6 @@
 //! * [`model`] — the [`SparseLp`] problem form: `min cᵀx` over sparse
 //!   rows with *native variable bounds* (free, fixed, boxed — a binary
 //!   costs no constraint row),
-//! * [`presolve`](mod@presolve) — fixed/free-variable elimination and row-singleton
-//!   reduction with exact [`Presolved::postsolve`] reconstruction,
 //! * [`lu`] — Markowitz-style sparse LU factorisation of the basis with
 //!   product-form eta updates and periodic refactorisation,
 //! * [`simplex`] — the bounded-variable revised simplex itself:
@@ -33,12 +31,10 @@
 pub mod csc;
 pub mod lu;
 pub mod model;
-pub mod presolve;
 pub mod simplex;
 
 pub use csc::CscMatrix;
 pub use model::{Row, RowCmp, SparseLp};
-pub use presolve::{presolve, PresolveInfeasible, Presolved};
 pub use simplex::{
     solve, Basis, LpSolution, LpStats, LpStatus, SimplexOptions, SimplexSolver, VStat,
 };

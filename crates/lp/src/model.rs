@@ -67,7 +67,7 @@ impl SparseLp {
         self.rows.push(Row { terms, cmp, rhs });
     }
 
-    /// Replaces the bounds of column `j` (branching, presolve).
+    /// Replaces the bounds of column `j` (branching).
     pub fn set_bounds(&mut self, j: usize, lo: f64, hi: f64) {
         debug_assert!(lo <= hi, "empty domain [{lo}, {hi}] for column {j}");
         self.lo[j] = lo;

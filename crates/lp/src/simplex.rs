@@ -434,7 +434,8 @@ impl SimplexSolver {
             clippy::disallowed_methods,
             reason = "opt-in time budget: `time_limit` is documented as non-reproducible; the default (None) never reads the clock."
         )]
-        let deadline = opts.time_limit.map(|d| Instant::now() + d);
+        // A limit too large for an `Instant` to represent is no deadline.
+        let deadline = opts.time_limit.and_then(|d| Instant::now().checked_add(d));
         // Bounds (or rows) may have changed since the last call, which
         // would invalidate any bound tracked then.
         self.best_dual_bound = None;

@@ -13,7 +13,7 @@
 //!   pluggable carbon-cost engines (dense oracle / interval-sparse),
 //!   ASAP baseline, the 16 CaWoSched greedy + local-search variants.
 //! * [`lp`] — the sparse bounded-variable revised-simplex LP engine
-//!   (CSC matrices, presolve, LU + eta updates, warm starts) behind
+//!   (CSC matrices, LU + eta updates, warm starts) behind
 //!   the paper-scale `milp`/`lp` solvers.
 //! * [`exact`] — exact optimality references: uniprocessor dynamic
 //!   programs, the time-indexed ILP model, branch-and-bound, the compact

@@ -289,6 +289,36 @@ fn schedule_with_exact_solver_reports_status() {
 }
 
 #[test]
+fn huge_time_budgets_mean_no_deadline() {
+    // 1e19 s parses, but no clock reading plus that much is
+    // representable: the budget must act as "no time limit" instead of
+    // overflowing the deadline arithmetic. The tight deadline keeps the
+    // uncapped milp short.
+    for solver in ["bnb", "milp", "lp"] {
+        let out = bin()
+            .args([
+                "schedule",
+                "--tasks",
+                "20",
+                "--deadline",
+                "1",
+                "--solver",
+                solver,
+                "--solver-budget",
+                "20000,10000000000000000000s",
+            ])
+            .output()
+            .expect("binary runs");
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{solver}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
+
+#[test]
 fn evaluate_appends_solver_rows_with_status() {
     // `bnb` runs on any mapping; the uniprocessor `dp` either runs
     // (HEFT can legitimately map a small workflow onto one processor)
