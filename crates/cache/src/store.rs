@@ -5,9 +5,14 @@
 //! * **Hit** — the full key (instance ⊕ profile ⊕ query) is present:
 //!   the stored answer is returned as-is. For solver queries that is
 //!   the complete [`SolveResult`] (schedule, cost, bound, stats); for
-//!   evaluation queries the variant's schedule and cost. A hit is a
-//!   map probe plus a clone — sub-microsecond against a multi-
-//!   millisecond cold solve.
+//!   evaluation queries the variant's schedule and cost. A hit builds
+//!   its key from the instance's memoised digest, the profile and the
+//!   label (`O(J + label)`, see [`crate::key`]), probes the map and
+//!   clones the entry: an evaluation hit clones two `Arc`s, a solver
+//!   hit the whole result. `BENCH_warm.json` times an evaluation hit
+//!   at well under a microsecond and a solver hit at a few, against a
+//!   sub-millisecond cold evaluation and a multi-millisecond cold
+//!   `milp` solve on the 100-task models.
 //! * **Warm** — the *profile-independent* key matches a previous
 //!   answer for the same instance and query, but the profile changed
 //!   (new deadline, shifted trace tail). Solver queries re-solve

@@ -162,6 +162,46 @@ fn cache_lookups_never_cross_distinct_keys() {
     }
     let stats = cache.stats();
     assert_eq!((stats.hits, stats.cold, stats.rejected), (40, 40, 0));
+
+    // Two copies of one 3-node chain that differ only in the
+    // platform's idle power: every cost adds it, so the key must too.
+    let chain = |extra_idle| {
+        let mut b = DagBuilder::new(3);
+        b.add_edge(0, 1);
+        b.add_edge(1, 2);
+        let unit = UnitInfo {
+            p_idle: 1,
+            p_work: 7,
+            is_link: false,
+        };
+        Instance::from_raw(
+            b.build().unwrap(),
+            vec![3, 2, 4],
+            vec![0; 3],
+            vec![unit],
+            extra_idle,
+        )
+    };
+    let (lean, idle) = (chain(0), chain(5));
+    assert_ne!(
+        instance_fingerprint(&lean),
+        instance_fingerprint(&idle),
+        "idle power is part of the instance key"
+    );
+    let profile = PowerProfile::from_parts(vec![0, 5, 10, 15], vec![9, 4, 8]);
+    let cache = SolveCache::new();
+    let (_, outcome) = cache.evaluate(Variant::Slack, engine, &lean, &profile);
+    assert_eq!(outcome, CacheOutcome::Cold);
+    let (ans, outcome) = cache.evaluate(Variant::Slack, engine, &idle, &profile);
+    assert_eq!(outcome, CacheOutcome::Cold, "served the lean twin's answer");
+    assert_eq!(ans.cost, carbon_cost(&idle, &ans.schedule, &profile));
+    // `idle`'s digest is memoised by now: a clone carries it, and a
+    // separately rebuilt copy computes the same one.
+    for (name, twin) in [("clone", idle.clone()), ("rebuilt", chain(5))] {
+        let (again, outcome) = cache.evaluate(Variant::Slack, engine, &twin, &profile);
+        assert_eq!(outcome, CacheOutcome::Hit, "{name}");
+        assert_eq!(again.cost, ans.cost, "{name}");
+    }
 }
 
 #[test]

@@ -14,11 +14,14 @@
 //! tasks with running times — which is what every algorithm in this
 //! repository operates on.
 
+use std::sync::OnceLock;
+
 use cawo_graph::dag::{Dag, DagBuilder};
 use cawo_graph::{NodeId, Workflow};
 use cawo_heft::Mapping;
 use cawo_platform::{Cluster, Power, ProcId, Time};
 
+use crate::digest::InstanceDigest;
 use crate::schedule::Schedule;
 
 /// Execution-unit index: `0..P` are the compute processors, higher ids
@@ -53,6 +56,9 @@ pub struct UnitInfo {
 
 /// A scheduling instance: enhanced DAG, execution times, unit assignment
 /// and power data — everything §5's algorithms need.
+///
+/// An instance is immutable once built: no method takes `&mut self`,
+/// which is what lets it memoise its content [`Instance::digest`].
 #[derive(Debug, Clone)]
 pub struct Instance {
     n_original: usize,
@@ -65,6 +71,9 @@ pub struct Instance {
     topo: Vec<NodeId>,
     total_idle: Power,
     max_unit_total_power: Power,
+    /// Filled by the first [`Instance::digest`] call; a clone carries
+    /// it, which is correct because the clone's content is identical.
+    digest: OnceLock<InstanceDigest>,
 }
 
 impl Instance {
@@ -195,6 +204,7 @@ impl Instance {
             topo,
             total_idle,
             max_unit_total_power,
+            digest: OnceLock::new(),
         }
     }
 
@@ -240,6 +250,7 @@ impl Instance {
             topo,
             total_idle,
             max_unit_total_power,
+            digest: OnceLock::new(),
         }
     }
 
@@ -323,6 +334,13 @@ impl Instance {
     /// A topological order of `Gc`, precomputed once.
     pub fn topo_order(&self) -> &[NodeId] {
         &self.topo
+    }
+
+    /// The content digest caches key this instance by
+    /// ([`crate::digest`]): absorbed on the first call, a memo load on
+    /// every later one.
+    pub fn digest(&self) -> InstanceDigest {
+        *self.digest.get_or_init(|| InstanceDigest::of(self))
     }
 
     /// The ASAP schedule: every node at its earliest start time (§5.1).
@@ -509,5 +527,11 @@ mod tests {
         assert_eq!(inst.asap_makespan(), 7);
         assert_eq!(inst.total_idle_power(), 0);
         assert_eq!(inst.max_unit_total_power(), 1);
+
+        // The digest is absorbed on first use, and a clone carries it.
+        assert!(inst.digest.get().is_none());
+        let d = inst.digest();
+        assert_eq!(inst.digest.get(), Some(&d));
+        assert_eq!(inst.clone().digest.get(), Some(&d));
     }
 }

@@ -5,6 +5,8 @@
 //! * [`enhanced`] — the communication-enhanced DAG `Gc` of §3: every
 //!   cross-processor communication becomes a task on a fictional link
 //!   processor, with ordering constraints (`E''`) baked in as edges,
+//! * [`digest`] — an [`Instance`]'s stable content hash, which caches
+//!   key it by, absorbed once per instance and memoised,
 //! * [`schedule`] — start-time assignments over `Gc` plus validity checks,
 //! * [`cost`] — the carbon-cost function: the polynomial interval-sweep
 //!   algorithm of Appendix A.1 and a pseudo-polynomial per-time-unit
@@ -28,6 +30,7 @@
 
 pub mod bounds;
 pub mod cost;
+pub mod digest;
 pub mod engine;
 pub mod enhanced;
 pub mod greedy;
@@ -41,6 +44,7 @@ pub use bounds::Bounds;
 pub use cost::{
     carbon_cost, carbon_cost_from, carbon_cost_naive, energy_report, Cost, EnergyReport,
 };
+pub use digest::{InstanceDigest, KeyHasher};
 pub use engine::{
     profile_divergence, reanswer_cost, repair_for_deadline, CostEngine, DenseGrid, EngineKind,
     Fenwick, FenwickEngine, IntervalEngine, PrefixCost,

@@ -7,8 +7,8 @@ use proptest::prelude::*;
 
 use cawo_core::enhanced::UnitInfo;
 use cawo_core::{
-    carbon_cost, carbon_cost_naive, local_search, Bounds, CostEngine, DenseGrid, FenwickEngine,
-    Instance, IntervalEngine, Schedule, Variant,
+    carbon_cost, carbon_cost_naive, local_search, profile_divergence, reanswer_cost, Bounds,
+    CostEngine, DenseGrid, FenwickEngine, Instance, IntervalEngine, Schedule, Variant,
 };
 use cawo_graph::dag::DagBuilder;
 use cawo_graph::NodeId;
@@ -141,6 +141,39 @@ fn bounds_recomputed(
     (est, lst)
 }
 
+/// `old` before `t` and different from `t` on: every budget after `t`
+/// is raised by `bump > 0`, with `t` made a boundary. A cut at or past
+/// the deadline extends the horizon to `t + 2` instead, with budget 0
+/// over `[deadline, t)` (a profile's budget past its deadline) and
+/// `bump` from `t`.
+fn revised_after(old: &PowerProfile, t: Time, bump: u64) -> PowerProfile {
+    let deadline = old.deadline();
+    let mut starts = Vec::new();
+    let mut budgets = Vec::new();
+    for j in 0..old.interval_count() {
+        let (lo, hi) = old.interval_span(j);
+        let g = old.budget(j);
+        if lo < t {
+            starts.push(lo);
+            budgets.push(g);
+        }
+        if t < hi {
+            starts.push(lo.max(t));
+            budgets.push(g + bump);
+        }
+    }
+    if t > deadline {
+        starts.push(deadline);
+        budgets.push(0);
+    }
+    if t >= deadline {
+        starts.push(t);
+        budgets.push(bump);
+    }
+    starts.push(deadline.max(t + 2));
+    PowerProfile::from_parts(starts, budgets)
+}
+
 fn raw_instance(max_n: usize) -> impl Strategy<Value = RawInstance> {
     (2..max_n).prop_flat_map(|n| {
         let edges = proptest::collection::vec(
@@ -198,6 +231,52 @@ proptest! {
             let a = carbon_cost(&inst, &sched, &profile);
             let b = carbon_cost_naive(&inst, &sched, &profile);
             prop_assert_eq!(a, b);
+        }
+    }
+
+    // The trace-tail re-answer pre-rolls every start and finish before
+    // the divergence point `t` into the working power at `t`, uncosted,
+    // and sweeps the events from `t` on. Cut at 0, at every start and
+    // finish time (an event exactly at `t` is swept, not pre-rolled),
+    // at the deadline and one past it: under a profile equal to the old
+    // one before `t` and different after, the re-answer must equal the
+    // naive per-time-unit cost.
+    #[test]
+    fn reanswer_matches_naive_at_event_time_cuts(raw in raw_instance(10), seed in any::<u64>()) {
+        let inst = raw.build();
+        let asap = inst.asap_schedule();
+        let makespan = asap.makespan(&inst).max(1);
+        let mut state = seed;
+        let mut next = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let deadline = 2 * makespan + 1;
+        let old = PowerProfile::from_parts(
+            vec![0, makespan, deadline],
+            vec![next() % 20, next() % 20],
+        );
+        let delayed = Schedule::new(asap.starts().iter().map(|&s| s + makespan).collect());
+        for sched in [asap.clone(), delayed] {
+            let old_cost = carbon_cost(&inst, &sched, &old);
+            let mut cuts = vec![0, deadline, deadline + 1];
+            for v in 0..inst.node_count() as NodeId {
+                cuts.push(sched.start(v));
+                cuts.push(sched.finish(v, &inst));
+            }
+            cuts.sort_unstable();
+            cuts.dedup();
+            for t in cuts {
+                let new = revised_after(&old, t, 1 + next() % 20);
+                // Past the deadline the re-answer re-prices from the
+                // deadline, where the horizons part.
+                prop_assert_eq!(profile_divergence(&old, &new), Some(t.min(deadline)));
+                prop_assert_eq!(
+                    reanswer_cost(&inst, &sched, &old, old_cost, &new),
+                    Some(carbon_cost_naive(&inst, &sched, &new)),
+                    "cut at {}", t
+                );
+            }
         }
     }
 
