@@ -5,9 +5,10 @@
 //!   chain model at an exact pivot count (identical work at either
 //!   level, by construction); `heuristics` runs every CaWoSched variant
 //!   on the 200-task paper instance repeatedly — the local search's
-//!   `shift_scan` pricing path, one counter bump per task visit, plus
-//!   one `greedy.bound_updates` add per greedy run. The `lp` ratio
-//!   must stay under [`MAX_RATIO`]; CI runs this section as that guard.
+//!   `shift_scan` pricing path, one counter bump per priced task
+//!   visit, plus one `greedy.bound_updates` add per greedy run. The
+//!   `lp` ratio must stay under [`MAX_RATIO`]; CI runs this section
+//!   as that guard.
 //! * **convergence** — the 100- and 200-task chain models through the
 //!   raw LP and the `milp` solver at Trace level under a wall-clock
 //!   budget; the drained event timeline yields the bound-vs-time and

@@ -22,7 +22,8 @@ use super::CostEngine;
 /// so every operation costs what the *structure* of the schedule
 /// demands rather than what the horizon length does:
 ///
-/// * build: `O(N log N + J)`,
+/// * build: `O(N log N + J)` — one sort of the `2N` start/end events
+///   and one sweep that emits the segments in key order,
 /// * [`CostEngine::total_cost`]: `O(N + J)`,
 /// * [`CostEngine::shift_delta`] / [`CostEngine::apply_shift`]:
 ///   `O(log N + k)` where `k` is the number of breakpoints and interval
@@ -53,24 +54,26 @@ impl IntervalEngine {
     pub fn new(inst: &Instance, sched: &Schedule, profile: &PowerProfile) -> Self {
         let horizon = profile.deadline();
         let idle = inst.total_idle_power() as i64;
-        let mut work = BTreeMap::new();
-        work.insert(0, 0i64);
-        let mut engine = IntervalEngine {
-            work,
-            boundaries: profile.boundaries().to_vec(),
-            headroom: (0..profile.interval_count())
-                .map(|j| profile.budget(j) as i64 - idle)
-                .collect(),
-            horizon,
-        };
+        // Every task start and end as a level change, in time order.
+        let mut events = Vec::with_capacity(2 * inst.node_count());
         for v in 0..inst.node_count() as NodeId {
             let w = inst.work_power(v) as i64;
             let s = sched.start(v);
             let e = sched.finish(v, inst);
             debug_assert!(e <= horizon, "schedule exceeds profile horizon");
-            engine.add_range(s, e, w);
+            if s < e && w != 0 {
+                events.extend([(s, w), (e, -w)]);
+            }
         }
-        engine
+        events.sort_unstable_by_key(|&(t, _)| t);
+        IntervalEngine {
+            work: canonical_segments(&events),
+            boundaries: profile.boundaries().to_vec(),
+            headroom: (0..profile.interval_count())
+                .map(|j| profile.budget(j) as i64 - idle)
+                .collect(),
+            horizon,
+        }
     }
 
     /// Number of working-power segments currently stored (diagnostics).
@@ -181,6 +184,27 @@ impl IntervalEngine {
         }
         acc
     }
+}
+
+/// The canonical segment map of the working power whose level changes
+/// are `events`, sorted by time: key 0, then one key per time where the
+/// summed level differs from the segment before. Equal-time changes
+/// fold into one, so a task that starts where another of equal power
+/// ends leaves no breakpoint.
+fn canonical_segments(events: &[(Time, i64)]) -> BTreeMap<Time, i64> {
+    let mut segments: Vec<(Time, i64)> = vec![(0, 0)];
+    let mut level = 0i64;
+    for run in events.chunk_by(|a, b| a.0 == b.0) {
+        let t = run[0].0;
+        level += run.iter().map(|&(_, delta)| delta).sum::<i64>();
+        match segments.last_mut() {
+            Some(last) if last.0 == t => last.1 = level,
+            Some(last) if last.1 == level => {}
+            _ => segments.push((t, level)),
+        }
+    }
+    // Sorted and unique, so collecting bulk-builds the tree in one pass.
+    segments.into_iter().collect()
 }
 
 impl CostEngine for IntervalEngine {
@@ -370,6 +394,85 @@ mod tests {
         let levels: Vec<i64> = e.work.values().copied().collect();
         for w in levels.windows(2) {
             assert_ne!(w[0], w[1], "uncoalesced segments: {:?}", e.work);
+        }
+    }
+
+    /// The engine `new` would build, with the segment map built by one
+    /// [`IntervalEngine::add_range`] per task instead of the sweep.
+    fn built_by_add_range(inst: &Instance, s: &Schedule, profile: &PowerProfile) -> IntervalEngine {
+        let mut e = IntervalEngine::new(inst, &Schedule::new(vec![0; inst.node_count()]), profile);
+        e.work = BTreeMap::from([(0, 0)]);
+        for v in 0..inst.node_count() as NodeId {
+            e.add_range(s.start(v), s.finish(v, inst), inst.work_power(v) as i64);
+        }
+        e
+    }
+
+    #[test]
+    fn sweep_build_matches_add_range() {
+        // Four independent tasks of power 10, 10, 5, 10 (lengths 4, 2,
+        // 3, 1) over a horizon of 10. Task 0 starts at 0, task 1 starts
+        // where task 0 ends (equal power: the breakpoint at 4 cancels),
+        // task 2 overlaps it, task 3 ends at the horizon.
+        let dag = DagBuilder::new(4).build().unwrap();
+        let unit = |p_work| UnitInfo {
+            p_idle: 1,
+            p_work,
+            is_link: false,
+        };
+        let inst = Instance::from_raw(
+            dag,
+            vec![4, 2, 3, 1],
+            vec![0, 1, 2, 3],
+            vec![unit(10), unit(10), unit(5), unit(10)],
+            0,
+        );
+        let profile = PowerProfile::from_parts(vec![0, 5, 10], vec![12, 3]);
+        let sched = Schedule::new(vec![0, 4, 5, 9]);
+        let swept = IntervalEngine::new(&inst, &sched, &profile);
+        assert_eq!(
+            swept.work,
+            BTreeMap::from([(0, 10), (5, 15), (6, 5), (8, 0), (9, 10), (10, 0)])
+        );
+        assert_eq!(swept.work, built_by_add_range(&inst, &sched, &profile).work);
+        assert_canonical(&swept);
+        assert_eq!(swept.total_cost(), carbon_cost(&inst, &sched, &profile));
+    }
+
+    #[test]
+    fn sweep_build_matches_add_range_on_random_schedules() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        for trial in 0..200 {
+            let n = rng.gen_range(1..12);
+            let horizon: Time = rng.gen_range(8..40);
+            let units: Vec<UnitInfo> = (0..n)
+                .map(|_| UnitInfo {
+                    p_idle: 0,
+                    // Few distinct powers, so equal-power edges meet.
+                    p_work: rng.gen_range(0..4),
+                    is_link: false,
+                })
+                .collect();
+            let exec: Vec<Time> = (0..n).map(|_| rng.gen_range(1..=horizon / 2)).collect();
+            let starts: Vec<Time> = exec
+                .iter()
+                .map(|&e| rng.gen_range(0..=horizon - e))
+                .collect();
+            let inst = Instance::from_raw(
+                DagBuilder::new(n).build().unwrap(),
+                exec,
+                (0..n as u32).collect(),
+                units,
+                0,
+            );
+            let profile = PowerProfile::uniform(horizon, 2);
+            let sched = Schedule::new(starts);
+            let swept = IntervalEngine::new(&inst, &sched, &profile);
+            let added = built_by_add_range(&inst, &sched, &profile);
+            assert_eq!(swept.work, added.work, "trial {trial}");
+            assert_canonical(&swept);
         }
     }
 

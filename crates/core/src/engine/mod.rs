@@ -126,7 +126,8 @@ pub trait CostEngine {
     /// left empty when `hi < lo`). The current start need not lie in
     /// the window. Does not mutate state.
     ///
-    /// This is the local search's pricing call: one per task visit. The
+    /// This is the local search's pricing call: one per task visit that
+    /// is not skipped as clean (see [`mod@crate::local_search`]). The
     /// default prices each candidate on its own; a backend may override
     /// it with a single sweep, but every entry must stay exactly the
     /// pointwise delta.

@@ -14,7 +14,7 @@
 //! task's `Gc` neighbours (which include its unit-order neighbours), so
 //! the feasible window is `[max preds finish, min succs start - ω(v)]`
 //! clipped to the horizon. Gains are evaluated incrementally through a
-//! [`CostEngine`], without cloning or re-costing the schedule: each task
+//! [`CostEngine`], without cloning or re-costing the schedule: a task
 //! visit prices its whole window of candidate starts with one
 //! [`CostEngine::shift_scan`] call, and the acceptance policy reads the
 //! deltas in start order. On the default interval-sparse
@@ -22,7 +22,23 @@
 //! backends (the dense oracle, Fenwick) price each candidate with
 //! [`CostEngine::shift_delta`]. Every backend returns the same exact
 //! deltas, so the moves do not depend on the engine.
+//!
+//! A visit skips its scan while the task is *clean*: its last scan
+//! chose no move, none of its `Gc` neighbours has moved since, and no
+//! move since has covered a block of 32 time units (more on horizons of
+//! 2^21 units or longer) that overlaps its candidate range
+//! `[lo, hi + ω(v))`. Each block keeps the sequence number of the last
+//! move whose old or new span covered it, and a move marks the mover's
+//! neighbours dirty. The skip is exact: a scan is a pure function of
+//! the task's start, its window (set by its neighbours' placements, the
+//! deadline and `µ`) and the engine's load on its candidate range, and
+//! a move changes the load only inside its old and new spans. A skipped
+//! visit would therefore price the same deltas and again choose no
+//! move, so moves, rounds, gain and the final schedule are those of
+//! scanning every visit, on every engine and under either
+//! [`LsPolicy`].
 
+use cawo_graph::NodeId;
 use cawo_platform::{PowerProfile, Time};
 
 use crate::engine::{CostEngine, IntervalEngine};
@@ -112,6 +128,7 @@ pub fn local_search_on_engine<E: CostEngine>(
     units.sort_by_key(|&u| (std::cmp::Reverse(inst.unit(u).p_work), u));
 
     let mut stats = LocalSearchStats::default();
+    let mut visits = Visits::new(inst.node_count(), deadline);
     // Deltas of the current task's candidate starts, reused by every
     // visit.
     let mut deltas = Vec::new();
@@ -122,7 +139,7 @@ pub fn local_search_on_engine<E: CostEngine>(
             for &v in inst.unit_order(u) {
                 let len = inst.exec(v);
                 let w = inst.work_power(v) as i64;
-                if w == 0 {
+                if w == 0 || visits.is_clean(v) {
                     continue;
                 }
                 let s = sched.start(v);
@@ -164,11 +181,17 @@ pub fn local_search_on_engine<E: CostEngine>(
                         }
                     }
                 }
-                if let Some((target, delta)) = chosen {
-                    engine.apply_shift(s, len, w, target);
-                    sched.set_start(v, target);
-                    stats.moves += 1;
-                    round_gain += -delta;
+                match chosen {
+                    Some((target, delta)) => {
+                        engine.apply_shift(s, len, w, target);
+                        sched.set_start(v, target);
+                        visits.moved(inst, v, [(s, s + len), (target, target + len)]);
+                        stats.moves += 1;
+                        round_gain += -delta;
+                    }
+                    // The scan read the load over `[lo, hi + len)`,
+                    // widened to the start in case it lies outside.
+                    None => visits.scanned_idle(v, lo.min(s), hi.max(s) + len),
                 }
             }
         }
@@ -178,6 +201,83 @@ pub fn local_search_on_engine<E: CostEngine>(
         stats.gain += round_gain as u64;
     }
     stats
+}
+
+/// Time units per move-stamp block, as a power of two: 32. Narrower
+/// blocks skip more visits but cost more stamps per move and more
+/// reads per check.
+const BLOCK_SHIFT: u32 = 5;
+
+/// The stamp array holds at most `2^MAX_BLOCK_BITS` blocks; a horizon
+/// too long for that gets wider blocks, so memory stays independent of
+/// the horizon length like the interval engine's.
+const MAX_BLOCK_BITS: u32 = 16;
+
+/// Which task visits can be skipped (module doc): the clean-visit
+/// bookkeeping of one [`local_search_on_engine`] run.
+struct Visits {
+    /// Moves applied so far; a move's sequence number is the count
+    /// after it.
+    moves: u64,
+    /// Log2 of the time units per block.
+    shift: u32,
+    /// Per block: the sequence number of the last move whose old or new
+    /// span covered it (0: none yet).
+    stamp: Vec<u64>,
+    /// Per task: `(moves, first, last)` while the task is clean — its
+    /// last scan chose no move, when `moves` moves had been applied, and
+    /// read the load over blocks `first..=last`, and no `Gc` neighbour
+    /// has moved since. `None` when the next visit must scan.
+    idle: Vec<Option<(u64, usize, usize)>>,
+}
+
+impl Visits {
+    fn new(tasks: usize, horizon: Time) -> Self {
+        let bits = Time::BITS - horizon.leading_zeros();
+        let shift = BLOCK_SHIFT.max(bits.saturating_sub(MAX_BLOCK_BITS));
+        Visits {
+            moves: 0,
+            shift,
+            stamp: vec![0; (horizon >> shift) as usize + 1],
+            idle: vec![None; tasks],
+        }
+    }
+
+    /// Blocks overlapping `[a, b)`, at least the one holding `a`.
+    fn blocks(&self, a: Time, b: Time) -> (usize, usize) {
+        let last = b.saturating_sub(1).max(a);
+        ((a >> self.shift) as usize, (last >> self.shift) as usize)
+    }
+
+    /// Whether a scan of `v` would again choose no move: it is clean
+    /// and no move since its last scan covered a block of its range.
+    fn is_clean(&self, v: NodeId) -> bool {
+        self.idle[v as usize]
+            .is_some_and(|(at, first, last)| self.stamp[first..=last].iter().all(|&k| k <= at))
+    }
+
+    /// Records a scan of `v` that chose no move after reading the load
+    /// over `[a, b)`.
+    fn scanned_idle(&mut self, v: NodeId, a: Time, b: Time) {
+        let (first, last) = self.blocks(a, b);
+        self.idle[v as usize] = Some((self.moves, first, last));
+    }
+
+    /// Records a move of `v` whose old and new spans are `spans`: its
+    /// `Gc` neighbours must scan again, and the blocks the spans cover
+    /// get the move's sequence number. That makes `v` itself dirty too,
+    /// as its range holds its old span.
+    fn moved(&mut self, inst: &Instance, v: NodeId, spans: [(Time, Time); 2]) {
+        self.moves += 1;
+        let dag = inst.dag();
+        for &x in dag.predecessors(v).iter().chain(dag.successors(v)) {
+            self.idle[x as usize] = None;
+        }
+        for (a, b) in spans {
+            let (first, last) = self.blocks(a, b);
+            self.stamp[first..=last].fill(self.moves);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -394,6 +494,40 @@ mod tests {
                 assert_eq!(ds, is, "trial {trial} {policy:?}");
             }
         }
+    }
+
+    #[test]
+    fn moves_dirty_the_ranges_they_cover_and_their_neighbours() {
+        // Tasks 1 -> 2, and 0 and 3 on their own; 32-unit blocks.
+        let mut b = DagBuilder::new(4);
+        b.add_edge(1, 2);
+        let unit = UnitInfo {
+            p_idle: 0,
+            p_work: 1,
+            is_link: false,
+        };
+        let inst = Instance::from_raw(b.build().unwrap(), vec![4; 4], vec![0; 4], vec![unit], 0);
+        let mut visits = Visits::new(4, 256);
+        assert!(!visits.is_clean(0), "never scanned");
+        // Task 0 read the load over [40, 65): blocks 1 and 2.
+        visits.scanned_idle(0, 40, 65);
+        assert!(visits.is_clean(0));
+        // Spans in block 3 and in block 0 leave it clean.
+        visits.moved(&inst, 3, [(96, 100), (97, 101)]);
+        visits.moved(&inst, 3, [(28, 32), (27, 31)]);
+        assert!(visits.is_clean(0));
+        // A span over its last unit, 64, does not.
+        visits.moved(&inst, 3, [(27, 31), (64, 68)]);
+        assert!(!visits.is_clean(0));
+        // A neighbour's move dirties a task whatever the times.
+        visits.scanned_idle(1, 0, 10);
+        visits.moved(&inst, 2, [(200, 204), (201, 205)]);
+        assert!(!visits.is_clean(1));
+        // A horizon of 2^21 units or more coarsens the blocks.
+        assert_eq!(Visits::new(4, (1 << 21) - 1).shift, 5);
+        let long = Visits::new(4, 1 << 30);
+        assert_eq!(long.shift, 15);
+        assert_eq!(long.stamp.len(), (1 << 15) + 1);
     }
 
     #[test]

@@ -7,8 +7,9 @@ use proptest::prelude::*;
 
 use cawo_core::enhanced::UnitInfo;
 use cawo_core::{
-    carbon_cost, carbon_cost_naive, local_search, profile_divergence, reanswer_cost, Bounds,
-    CostEngine, DenseGrid, FenwickEngine, Instance, IntervalEngine, Schedule, Variant,
+    carbon_cost, carbon_cost_naive, greedy_schedule, local_search, local_search_on_engine,
+    profile_divergence, reanswer_cost, Bounds, CostEngine, DenseGrid, FenwickEngine, GreedyConfig,
+    Instance, IntervalEngine, LocalSearchStats, LsPolicy, Schedule, Score, Variant,
 };
 use cawo_graph::dag::DagBuilder;
 use cawo_graph::NodeId;
@@ -174,13 +175,144 @@ fn revised_after(old: &PowerProfile, t: Time, bump: u64) -> PowerProfile {
     PowerProfile::from_parts(starts, budgets)
 }
 
+/// The local search with every task visit priced: the loop
+/// `local_search_on_engine` ran before it skipped clean visits, kept
+/// as the oracle of that skip.
+fn local_search_every_visit<E: CostEngine>(
+    inst: &Instance,
+    profile: &PowerProfile,
+    sched: &mut Schedule,
+    mu: Time,
+    policy: LsPolicy,
+    engine: &mut E,
+) -> LocalSearchStats {
+    let deadline = profile.deadline();
+    let mut units: Vec<u32> = (0..inst.unit_count() as u32).collect();
+    units.sort_by_key(|&u| (std::cmp::Reverse(inst.unit(u).p_work), u));
+    let mut stats = LocalSearchStats::default();
+    let mut deltas = Vec::new();
+    loop {
+        stats.rounds += 1;
+        let mut round_gain = 0i64;
+        for &u in &units {
+            for &v in inst.unit_order(u) {
+                let len = inst.exec(v);
+                let w = inst.work_power(v) as i64;
+                if w == 0 {
+                    continue;
+                }
+                let s = sched.start(v);
+                let earliest = inst
+                    .dag()
+                    .predecessors(v)
+                    .iter()
+                    .map(|&p| sched.finish(p, inst))
+                    .max()
+                    .unwrap_or(0);
+                let latest_by_succ = inst
+                    .dag()
+                    .successors(v)
+                    .iter()
+                    .map(|&q| sched.start(q))
+                    .min()
+                    .unwrap_or(deadline)
+                    .saturating_sub(len);
+                let latest = latest_by_succ.min(deadline - len);
+                let lo = earliest.max(s.saturating_sub(mu));
+                let hi = latest.min(s + mu);
+                engine.shift_scan(s, len, w, lo, hi, &mut deltas);
+                let mut chosen: Option<(Time, i64)> = None;
+                for (cand, &delta) in (lo..).zip(&deltas) {
+                    if delta < 0 {
+                        match policy {
+                            LsPolicy::FirstImprovement => {
+                                chosen = Some((cand, delta));
+                                break;
+                            }
+                            LsPolicy::BestImprovement => {
+                                if chosen.is_none_or(|(_, best)| delta < best) {
+                                    chosen = Some((cand, delta));
+                                }
+                            }
+                        }
+                    }
+                }
+                if let Some((target, delta)) = chosen {
+                    engine.apply_shift(s, len, w, target);
+                    sched.set_start(v, target);
+                    stats.moves += 1;
+                    round_gain += -delta;
+                }
+            }
+        }
+        if round_gain == 0 {
+            break;
+        }
+        stats.gain += round_gain as u64;
+    }
+    stats
+}
+
+/// A valid schedule of `inst` within `horizon`: in reverse topological
+/// order, each task starts anywhere between its ASAP start and the
+/// latest start its already placed successors leave it.
+fn random_valid_schedule(
+    inst: &Instance,
+    horizon: Time,
+    next: &mut impl FnMut() -> u64,
+) -> Schedule {
+    let asap = inst.asap_schedule();
+    let mut starts = asap.starts().to_vec();
+    for &v in inst.topo_order().iter().rev() {
+        let latest = inst
+            .dag()
+            .successors(v)
+            .iter()
+            .map(|&q| starts[q as usize])
+            .min()
+            .unwrap_or(horizon)
+            - inst.exec(v);
+        let earliest = asap.start(v);
+        starts[v as usize] = earliest + next() % (latest - earliest + 1);
+    }
+    Schedule::new(starts)
+}
+
+/// Runs the local search and its every-visit oracle from `start` on
+/// engine `E`; both the schedules and the statistics must agree.
+fn skip_matches_every_visit<E: CostEngine>(
+    inst: &Instance,
+    profile: &PowerProfile,
+    start: &Schedule,
+    mu: Time,
+    policy: LsPolicy,
+) -> Result<LocalSearchStats, TestCaseError> {
+    let mut skipping = start.clone();
+    let mut engine = E::build(inst, &skipping, profile);
+    let stats = local_search_on_engine(inst, profile, &mut skipping, mu, policy, &mut engine);
+    let mut every = start.clone();
+    let mut engine = E::build(inst, &every, profile);
+    let oracle = local_search_every_visit(inst, profile, &mut every, mu, policy, &mut engine);
+    prop_assert_eq!(&skipping, &every, "{} {:?}", E::NAME, policy);
+    prop_assert_eq!(stats, oracle, "{} {:?}", E::NAME, policy);
+    Ok(stats)
+}
+
 fn raw_instance(max_n: usize) -> impl Strategy<Value = RawInstance> {
-    (2..max_n).prop_flat_map(|n| {
+    raw_instance_with_exec(max_n, 1..8)
+}
+
+/// [`raw_instance`] with execution times drawn from `exec`.
+fn raw_instance_with_exec(
+    max_n: usize,
+    exec: std::ops::Range<Time>,
+) -> impl Strategy<Value = RawInstance> {
+    (2..max_n).prop_flat_map(move |n| {
         let edges = proptest::collection::vec(
             (0..n as u32 - 1).prop_flat_map(move |u| (Just(u), (u + 1..n as u32))),
             0..n * 2,
         );
-        let exec = proptest::collection::vec(1u64..8, n);
+        let exec = proptest::collection::vec(exec.clone(), n);
         let units = proptest::collection::vec((0u64..4, 1u64..12), 1..4);
         (Just(n), edges, exec, units).prop_flat_map(|(n, edges, exec, units)| {
             let k = units.len() as u32;
@@ -581,6 +713,62 @@ proptest! {
                 .max()
                 .unwrap_or(0);
             prop_assert_eq!(asap.start(v), est);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    // The local search skips a task visit while no move can have
+    // changed what its scan reads. Exec times up to 40 and horizons up
+    // to 4× the makespan put windows and moves across several 32-unit
+    // blocks. From ASAP, a greedy and a random valid start, on every
+    // engine and under both policies, the result must equal that of
+    // pricing every visit.
+    #[test]
+    fn local_search_skip_matches_every_visit_oracle(
+        raw in raw_instance_with_exec(16, 1..41),
+        mu in 0u64..=15,
+        stretch in 1u64..=4,
+        budgets in proptest::collection::vec(0u64..40, 3..9),
+        seed in any::<u64>(),
+    ) {
+        let inst = raw.build();
+        let makespan = inst.asap_makespan();
+        let horizon = makespan * stretch + budgets.len() as u64;
+        let j = budgets.len() as u64;
+        let mut bounds = vec![0 as Time];
+        for k in 1..=j {
+            let t = horizon * k / j;
+            if t > *bounds.last().unwrap() {
+                bounds.push(t);
+            }
+        }
+        let m = bounds.len() - 1;
+        let profile = PowerProfile::from_parts(bounds, budgets[..m].to_vec());
+        let greedy = greedy_schedule(&inst, &profile, GreedyConfig::new(Score::Pressure, true, true));
+        let mut state = seed;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let random = random_valid_schedule(&inst, horizon, &mut next);
+        for start in [inst.asap_schedule(), greedy, random] {
+            for policy in [LsPolicy::FirstImprovement, LsPolicy::BestImprovement] {
+                let stats =
+                    skip_matches_every_visit::<IntervalEngine>(&inst, &profile, &start, mu, policy)?;
+                prop_assert_eq!(
+                    skip_matches_every_visit::<DenseGrid>(&inst, &profile, &start, mu, policy)?,
+                    stats
+                );
+                prop_assert_eq!(
+                    skip_matches_every_visit::<FenwickEngine>(&inst, &profile, &start, mu, policy)?,
+                    stats
+                );
+            }
         }
     }
 }

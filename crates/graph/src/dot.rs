@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use crate::workflow::{Workflow, WorkflowBuilder};
-use crate::{NodeId, Weight};
+use crate::{NodeId, Weight, MAX_WEIGHT};
 
 /// Errors raised while parsing DOT input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,7 +30,7 @@ pub enum DotError {
     UnterminatedGraph,
     /// A statement could not be parsed.
     BadStatement(String),
-    /// A `weight` attribute was not a positive integer.
+    /// A `weight` attribute was not an integer in `1..=`[`MAX_WEIGHT`].
     BadWeight(String),
     /// The edges form a cycle (not a workflow).
     Cyclic,
@@ -42,7 +42,12 @@ impl std::fmt::Display for DotError {
             DotError::MissingHeader => write!(f, "expected `digraph <name> {{`"),
             DotError::UnterminatedGraph => write!(f, "missing closing `}}`"),
             DotError::BadStatement(s) => write!(f, "cannot parse statement `{s}`"),
-            DotError::BadWeight(s) => write!(f, "bad weight `{s}`"),
+            DotError::BadWeight(s) => {
+                write!(
+                    f,
+                    "bad weight `{s}` (expected an integer in 1..={MAX_WEIGHT})"
+                )
+            }
             DotError::Cyclic => write!(f, "graph contains a cycle"),
         }
     }
@@ -169,7 +174,7 @@ fn parse_weight_attr(attrs: &str) -> Result<Option<Weight>, DotError> {
             let w: Weight = val
                 .parse()
                 .map_err(|_| DotError::BadWeight(val.to_string()))?;
-            if w == 0 {
+            if w == 0 || w > MAX_WEIGHT {
                 return Err(DotError::BadWeight(val.to_string()));
             }
             return Ok(Some(w));
@@ -259,6 +264,24 @@ mod tests {
             from_dot("digraph g { a [weight=0]; }").unwrap_err(),
             DotError::BadWeight(_)
         ));
+    }
+
+    #[test]
+    fn rejects_weights_above_the_cap() {
+        let cap = format!("digraph g {{ a [weight={MAX_WEIGHT}]; }}");
+        assert_eq!(from_dot(&cap).unwrap().node_weight(0), MAX_WEIGHT);
+        for w in [
+            (MAX_WEIGHT + 1).to_string(),
+            (1u64 << 62).to_string(),
+            "1e30".to_string(),
+        ] {
+            for dot in [
+                format!("digraph g {{ t0 [weight={w}]; }}"),
+                format!("digraph g {{ a -> b [weight={w}]; }}"),
+            ] {
+                assert_eq!(from_dot(&dot).unwrap_err(), DotError::BadWeight(w.clone()));
+            }
+        }
     }
 
     #[test]

@@ -31,3 +31,11 @@ pub use workflow::{EdgeId, Workflow, WorkflowBuilder};
 /// Weight of a vertex (normalized computation demand) or an edge
 /// (normalized communication volume). Integer per the paper's framework.
 pub type Weight = u64;
+
+/// Largest task or edge weight the [`dot`] and [`wfjson`] parsers
+/// accept: 2^28. A processor of normalized speed `s ≥ 1` runs a task of
+/// weight `w` in `⌈8w / s⌉ ≤ 2^31` time units and an edge takes `w`
+/// units, so an ASAP makespan, at most the sum of those times over the
+/// fewer than 2^32 nodes a `NodeId` can number, stays below 2^63 and
+/// fits a `u64` time.
+pub const MAX_WEIGHT: Weight = 1 << 28;

@@ -22,6 +22,8 @@
 //! * edge weight = `ceil(writtenBytes / bytes_per_weight_unit)` of the
 //!   producing task (min 1), letting callers calibrate communication
 //!   volume; tasks without `writtenBytes` get weight-1 edges,
+//! * a task whose weight or edge weight exceeds [`MAX_WEIGHT`] is
+//!   rejected ([`WfJsonError::WeightTooLarge`]),
 //! * dependencies = union of `children` and `parents` declarations.
 
 use std::collections::HashMap;
@@ -29,7 +31,7 @@ use std::collections::HashMap;
 use serde::Deserialize;
 
 use crate::workflow::{Workflow, WorkflowBuilder};
-use crate::{NodeId, Weight};
+use crate::{NodeId, Weight, MAX_WEIGHT};
 
 /// Import errors.
 #[derive(Debug)]
@@ -42,6 +44,9 @@ pub enum WfJsonError {
     Cyclic,
     /// The instance declares no tasks.
     Empty,
+    /// The named task's runtime, or its written bytes, give a weight
+    /// above [`MAX_WEIGHT`].
+    WeightTooLarge(String),
 }
 
 impl std::fmt::Display for WfJsonError {
@@ -51,6 +56,10 @@ impl std::fmt::Display for WfJsonError {
             WfJsonError::UnknownTask(t) => write!(f, "dependency references unknown task `{t}`"),
             WfJsonError::Cyclic => write!(f, "task dependencies form a cycle"),
             WfJsonError::Empty => write!(f, "workflow declares no tasks"),
+            WfJsonError::WeightTooLarge(t) => write!(
+                f,
+                "task `{t}`: runtime or written bytes give a weight above {MAX_WEIGHT}"
+            ),
         }
     }
 }
@@ -122,12 +131,15 @@ pub fn from_wfcommons_json(input: &str, options: WfJsonOptions) -> Result<Workfl
     let mut id_of: HashMap<&str, NodeId> = HashMap::with_capacity(tasks.len());
     let mut out_weight: Vec<Weight> = Vec::with_capacity(tasks.len());
     for t in &tasks {
-        let w = t.runtime.map_or(1, |r| r.ceil().max(1.0) as Weight);
-        let id = b.add_task(w);
-        id_of.insert(t.name.as_str(), id);
+        let w = t.runtime.map_or(1.0, |r| r.ceil().max(1.0));
         let c = t.written_bytes.map_or(1, |bytes| {
             bytes.div_ceil(options.bytes_per_weight_unit).max(1)
         });
+        if w > MAX_WEIGHT as f64 || c > MAX_WEIGHT {
+            return Err(WfJsonError::WeightTooLarge(t.name.clone()));
+        }
+        let id = b.add_task(w as Weight);
+        id_of.insert(t.name.as_str(), id);
         out_weight.push(c);
     }
     for t in &tasks {
@@ -237,6 +249,38 @@ mod tests {
             from_wfcommons_json("not json", WfJsonOptions::default()),
             Err(WfJsonError::Parse(_))
         ));
+    }
+
+    #[test]
+    fn weights_above_the_cap_rejected() {
+        let task = |field: &str| {
+            format!(
+                r#"{{"workflow": {{"tasks": [{{"name": "big", {field}}}, {{"name": "b", "parents": ["big"]}}]}}}}"#
+            )
+        };
+        let cap = task(&format!(r#""runtimeInSeconds": {MAX_WEIGHT}"#));
+        let wf = from_wfcommons_json(&cap, WfJsonOptions::default()).unwrap();
+        assert_eq!(wf.node_weight(0), MAX_WEIGHT);
+        for runtime in ["4611686018427387904", "4.7e18", "1e30", "268435456.5"] {
+            let json = task(&format!(r#""runtimeInSeconds": {runtime}"#));
+            assert!(
+                matches!(
+                    from_wfcommons_json(&json, WfJsonOptions::default()),
+                    Err(WfJsonError::WeightTooLarge(t)) if t == "big"
+                ),
+                "runtime {runtime}"
+            );
+        }
+        // Output volume: 2^62 bytes at one byte per weight unit.
+        let json = task(r#""writtenBytes": 4611686018427387904"#);
+        let per_byte = WfJsonOptions {
+            bytes_per_weight_unit: 1,
+        };
+        assert!(matches!(
+            from_wfcommons_json(&json, per_byte),
+            Err(WfJsonError::WeightTooLarge(t)) if t == "big"
+        ));
+        assert!(from_wfcommons_json(&json, WfJsonOptions::default()).is_err());
     }
 
     #[test]

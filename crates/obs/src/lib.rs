@@ -228,7 +228,8 @@ pub enum Ctr {
     /// `place_delta` pricing calls answered by `DenseGrid`.
     EnginePriceDense,
     /// `place_delta` pricing calls answered by `IntervalEngine`, plus
-    /// one per `shift_scan` window sweep (not one per candidate).
+    /// one per `shift_scan` window sweep (not one per candidate; a
+    /// local-search visit skipped as clean makes none).
     EnginePriceInterval,
     /// `place_delta` pricing calls answered by `FenwickEngine`.
     EnginePriceFenwick,

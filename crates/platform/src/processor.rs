@@ -66,10 +66,24 @@ pub const PAPER_PROCESSOR_TYPES: [ProcessorType; 6] = [
 pub const REFERENCE_SPEED: u64 = 8;
 
 /// Integer running time of a task with normalized weight `w` on a
-/// processor with normalized speed `speed` (always ≥ 1).
+/// processor with normalized speed `speed` (always ≥ 1). Computed
+/// without overflow; a time too large for `u64` saturates at
+/// `u64::MAX`.
 pub fn exec_time(w: u64, speed: u64) -> u64 {
     debug_assert!(speed > 0);
-    ((w * REFERENCE_SPEED).div_ceil(speed)).max(1)
+    match w.checked_mul(REFERENCE_SPEED) {
+        Some(work) => work.div_ceil(speed).max(1),
+        None => wide_exec_time(w, speed),
+    }
+}
+
+/// [`exec_time`] of a weight above `u64::MAX / REFERENCE_SPEED`, in 128
+/// bits. Kept out of line: HEFT calls `exec_time` for every task and
+/// processor, and no parsed weight comes near this.
+#[cold]
+fn wide_exec_time(w: u64, speed: u64) -> u64 {
+    let t = (u128::from(w) * u128::from(REFERENCE_SPEED)).div_ceil(u128::from(speed));
+    u64::try_from(t).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
@@ -104,6 +118,15 @@ mod tests {
         // Rounds up.
         assert_eq!(exec_time(3, 32), 1);
         assert_eq!(exec_time(5, 32), 2);
+    }
+
+    #[test]
+    fn exec_time_does_not_wrap() {
+        // 2^62 · 8 overflows u64; the time is still exact.
+        assert_eq!(exec_time(1 << 62, REFERENCE_SPEED), 1 << 62);
+        assert_eq!(exec_time(1 << 62, 32), 1 << 60);
+        assert_eq!(exec_time(u64::MAX, 16), u64::MAX.div_ceil(2));
+        assert_eq!(exec_time(u64::MAX, 4), u64::MAX);
     }
 
     #[test]

@@ -29,15 +29,18 @@
 //! unaffected (a warm start reaches the same optimum); node counts
 //! and timings shrink.
 
-#![expect(clippy::print_stdout, clippy::print_stderr, reason = "a CLI binary")]
+#![expect(clippy::print_stderr, reason = "a CLI binary")]
 
+use std::io::{self, Write};
 use std::sync::Arc;
 
 use cawo_cache::{CacheOutcome, SolveCache};
 use cawo_core::EngineKind;
 use cawo_exact::{Budget, SolverKind};
 use cawo_platform::TraceSource;
-use cawo_sim::experiment::{run_grid, size_class, ExperimentConfig, GridScale, TraceScenario};
+use cawo_sim::experiment::{
+    run_grid, size_class, ExperimentConfig, GridScale, SpecResult, TraceScenario,
+};
 
 /// Observability knobs: `--profile` prints the summary table after the
 /// grid, `--obs-out` writes the JSONL event trace (validated by
@@ -88,6 +91,75 @@ impl ObsArgs {
 fn die(msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(2)
+}
+
+/// Ends the program after a failed write to stdout: quietly with exit 0
+/// when the reader has gone (`experiments | head`), through [`die`] on
+/// any other error.
+#[expect(
+    clippy::exit,
+    reason = "a closed stdout ends the output the reader asked for"
+)]
+fn stdout_failed(e: &io::Error) -> ! {
+    if e.kind() == io::ErrorKind::BrokenPipe {
+        std::process::exit(0)
+    }
+    die(&format!("cannot write to stdout: {e}"))
+}
+
+/// Writes the grid as CSV, one row per instance × algorithm; `threads`
+/// fills the trailing column.
+fn write_csv(results: &[SpecResult], threads: usize) -> io::Result<()> {
+    let mut out = io::stdout().lock();
+    writeln!(
+        out,
+        "instance,family,size,size_class,cluster,scenario,deadline,\
+         n_tasks,gc_nodes,asap_makespan,kind,algorithm,cost,millis,status,nodes,lower_bound,\
+         lp_iters,cuts,cache_hit,cache_warm,threads"
+    )?;
+    for r in results {
+        let prefix = format!(
+            "{},{},{},{},{},{},{},{},{},{}",
+            r.spec.id(),
+            r.spec.family.name(),
+            r.spec
+                .scaled_to
+                .map_or_else(|| "real".to_string(), |n| n.to_string()),
+            size_class(r.n_tasks),
+            r.spec.cluster.name(),
+            r.spec.scenario.label(),
+            r.spec.deadline.as_f64(),
+            r.n_tasks,
+            r.gc_nodes,
+            r.asap_makespan,
+        );
+        for (i, &v) in r.variants.iter().enumerate() {
+            writeln!(
+                out,
+                "{prefix},variant,{},{},{:.4},,,,,,,,{threads}",
+                v.name(),
+                r.cost[i],
+                r.millis[i],
+            )?;
+        }
+        for row in &r.solver_rows {
+            writeln!(
+                out,
+                "{prefix},solver,{},{},{:.4},{},{},{},{},{},{},{},{threads}",
+                row.kind.name(),
+                row.cost.map_or_else(String::new, |c| c.to_string()),
+                row.millis,
+                row.status.name(),
+                row.nodes,
+                row.lower_bound.map_or_else(String::new, |c| c.to_string()),
+                row.lp_iters,
+                row.cuts,
+                (row.cache == CacheOutcome::Hit) as u8,
+                (row.cache == CacheOutcome::Warm) as u8,
+            )?;
+        }
+    }
+    out.flush()
 }
 
 fn main() {
@@ -191,51 +263,7 @@ fn main() {
         );
     }
 
-    println!(
-        "instance,family,size,size_class,cluster,scenario,deadline,\
-         n_tasks,gc_nodes,asap_makespan,kind,algorithm,cost,millis,status,nodes,lower_bound,\
-         lp_iters,cuts,cache_hit,cache_warm,threads"
-    );
-    for r in &results {
-        let prefix = format!(
-            "{},{},{},{},{},{},{},{},{},{}",
-            r.spec.id(),
-            r.spec.family.name(),
-            r.spec
-                .scaled_to
-                .map_or_else(|| "real".to_string(), |n| n.to_string()),
-            size_class(r.n_tasks),
-            r.spec.cluster.name(),
-            r.spec.scenario.label(),
-            r.spec.deadline.as_f64(),
-            r.n_tasks,
-            r.gc_nodes,
-            r.asap_makespan,
-        );
-        for (i, &v) in r.variants.iter().enumerate() {
-            println!(
-                "{prefix},variant,{},{},{:.4},,,,,,,,{threads}",
-                v.name(),
-                r.cost[i],
-                r.millis[i],
-            );
-        }
-        for row in &r.solver_rows {
-            println!(
-                "{prefix},solver,{},{},{:.4},{},{},{},{},{},{},{},{threads}",
-                row.kind.name(),
-                row.cost.map_or_else(String::new, |c| c.to_string()),
-                row.millis,
-                row.status.name(),
-                row.nodes,
-                row.lower_bound.map_or_else(String::new, |c| c.to_string()),
-                row.lp_iters,
-                row.cuts,
-                (row.cache == CacheOutcome::Hit) as u8,
-                (row.cache == CacheOutcome::Warm) as u8,
-            );
-        }
-    }
+    write_csv(&results, threads).unwrap_or_else(|e| stdout_failed(&e));
     obs_args.finish().unwrap_or_else(|e| die(&e));
     // A partial grid (instances skipped over unloadable traces) still
     // emits its rows above, but must not read as a clean run to

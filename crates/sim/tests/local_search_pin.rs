@@ -9,12 +9,13 @@
 use std::collections::BTreeMap;
 
 use cawo_core::{
-    carbon_cost, greedy_schedule, local_search, GreedyConfig, Instance, LocalSearchStats, Variant,
+    carbon_cost, greedy_schedule, local_search, GreedyConfig, Instance, LocalSearchStats, Schedule,
+    Variant,
 };
 use cawo_graph::generator::{self, Family, PaperInstance};
 use cawo_graph::NodeId;
 use cawo_heft::heft_schedule;
-use cawo_platform::{Cluster, DeadlineFactor, ProfileConfig, Scenario};
+use cawo_platform::{Cluster, DeadlineFactor, ProfileConfig, Scenario, Time};
 use cawo_sim::experiment::{build_profile, ExperimentConfig, GridScale};
 use rayon::prelude::*;
 
@@ -25,6 +26,11 @@ const SEED: u64 = 1;
 /// 8 `-LS` variants at [`SEED`], recorded before the window scan
 /// replaced per-candidate pricing.
 const PINNED: (u64, u64, u64) = (6_907, 48_131, 1_905_964);
+
+/// FNV-1a checksum over the start times of those 896 local-search
+/// results, in grid, variant and node order, recorded while every task
+/// visit was still priced. Sums can agree by accident; this cannot.
+const PINNED_STARTS: u64 = 7_877_344_903_531_140_421;
 
 #[test]
 fn quick_grid_local_search_stats_are_pinned() {
@@ -47,7 +53,7 @@ fn quick_grid_local_search_stats_are_pinned() {
                 (inst, cluster)
             });
     }
-    let runs: Vec<[LocalSearchStats; 8]> = specs
+    let runs: Vec<[(LocalSearchStats, Schedule); 8]> = specs
         .par_iter()
         .map(|spec| {
             let (inst, cluster) = &prepared[&(spec.family, spec.scaled_to, spec.cluster)];
@@ -59,15 +65,33 @@ fn quick_grid_local_search_stats_are_pinned() {
                 };
                 let greedy = GreedyConfig::new(score, weighted, refined);
                 let mut sched = greedy_schedule(inst, &profile, greedy);
-                local_search(inst, &profile, &mut sched, 10)
+                let stats = local_search(inst, &profile, &mut sched, 10);
+                (stats, sched)
             })
         })
         .collect();
-    let total = runs.iter().flatten().fold((0, 0, 0), |(r, m, g), s| {
-        (r + u64::from(s.rounds), m + s.moves, g + s.gain)
-    });
+    let (mut total, mut checksum) = ((0, 0, 0), 0xCBF2_9CE4_8422_2325_u64);
+    for (s, sched) in runs.iter().flatten() {
+        total = (
+            total.0 + u64::from(s.rounds),
+            total.1 + s.moves,
+            total.2 + s.gain,
+        );
+        checksum = fnv1a(checksum, sched.starts());
+    }
     assert_eq!(specs.len(), 112);
     assert_eq!(total, PINNED, "(rounds, moves, gain) over the quick grid");
+    assert_eq!(
+        checksum, PINNED_STARTS,
+        "start checksum over the quick grid"
+    );
+}
+
+/// Folds `starts` into an FNV-1a checksum.
+fn fnv1a(checksum: u64, starts: &[Time]) -> u64 {
+    starts
+        .iter()
+        .fold(checksum, |h, &s| (h ^ s).wrapping_mul(0x0100_0000_01B3))
 }
 
 /// Summed carbon cost and start-time checksum of the eight greedy-only
@@ -104,9 +128,7 @@ fn large_greedy_schedules_are_pinned() {
         assert!(sched.validate(&inst, profile.deadline()).is_ok(), "{v}");
         cost += carbon_cost(&inst, &sched, &profile);
         // FNV-1a over every start time, in variant then node order.
-        for &s in sched.starts() {
-            checksum = (checksum ^ s).wrapping_mul(0x0100_0000_01B3);
-        }
+        checksum = fnv1a(checksum, sched.starts());
     }
     assert_eq!((cost, checksum), GREEDY_PINNED, "(cost, start checksum)");
 }

@@ -17,9 +17,9 @@
 //! iteration wall-clock and cache outcome (`cold`/`hit`) — the shape of
 //! a `cawod` daemon serving repeated queries.
 
-#![expect(clippy::print_stdout, clippy::print_stderr, reason = "a CLI binary")]
+#![expect(clippy::print_stderr, reason = "a CLI binary")]
 
-use std::io::Read;
+use std::io::{self, Read, Write};
 use std::time::Instant;
 
 use cawosched::exact::WarmStart;
@@ -35,12 +35,13 @@ fn main() {
     };
     let opts = Options::parse(&args[1..]).unwrap_or_else(|e| die(&format!("{e}\n{}", usage())));
     init_obs(&opts);
-    match cmd.as_str() {
+    let written = match cmd.as_str() {
         "generate" => generate_cmd(&opts),
         "schedule" => with_pool(&opts, || schedule_cmd(&opts)),
         "evaluate" => with_pool(&opts, || evaluate_cmd(&opts)),
         other => die(&format!("unknown command `{other}`\n{}", usage())),
-    }
+    };
+    written.unwrap_or_else(|e| stdout_failed(&e));
     report_obs(&opts);
 }
 
@@ -81,7 +82,7 @@ fn report_obs(o: &Options) {
 /// the ambient pool when no override was given. Schedules and costs
 /// are bit-identical either way (docs/CONCURRENCY.md); the flag only
 /// trades wall-clock against CPU use.
-fn with_pool(o: &Options, f: impl FnOnce() + Send) {
+fn with_pool<R: Send>(o: &Options, f: impl FnOnce() -> R + Send) -> R {
     match o.threads {
         0 => f(),
         n => rayon::ThreadPoolBuilder::new()
@@ -137,6 +138,20 @@ fn usage() -> String {
 fn die(msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(2)
+}
+
+/// Ends the program after a failed write to stdout: quietly with exit 0
+/// when the reader has gone (`cawosched generate | head -1`), through
+/// [`die`] on any other error.
+#[expect(
+    clippy::exit,
+    reason = "a closed stdout ends the output the reader asked for"
+)]
+fn stdout_failed(e: &io::Error) -> ! {
+    if e.kind() == io::ErrorKind::BrokenPipe {
+        std::process::exit(0)
+    }
+    die(&format!("cannot write to stdout: {e}"))
 }
 
 struct Options {
@@ -304,9 +319,11 @@ impl Options {
     }
 }
 
-fn generate_cmd(o: &Options) {
+fn generate_cmd(o: &Options) -> io::Result<()> {
     let wf = generate(&GeneratorConfig::new(o.family, o.tasks, o.seed));
-    print!("{}", dot::to_dot(&wf));
+    let mut out = io::stdout().lock();
+    out.write_all(dot::to_dot(&wf).as_bytes())?;
+    out.flush()
 }
 
 fn prepare(o: &Options) -> (Instance, PowerProfile, Cost) {
@@ -351,7 +368,7 @@ fn run_params(o: &Options) -> RunParams {
     }
 }
 
-fn schedule_cmd(o: &Options) {
+fn schedule_cmd(o: &Options) -> io::Result<()> {
     let (inst, profile, baseline) = prepare(o);
     if o.solvers.len() > 1 {
         die("schedule runs one solver; pass a single --solver name (evaluate accepts a list)");
@@ -422,38 +439,44 @@ fn schedule_cmd(o: &Options) {
         "{label}: carbon cost {cost} (ASAP {baseline}, ratio {:.3})",
         cost as f64 / baseline.max(1) as f64
     );
+    let mut out = io::stdout().lock();
     if o.gantt {
-        print!("{}", render_gantt(&inst, &sched, &profile, 120));
+        out.write_all(render_gantt(&inst, &sched, &profile, 120).as_bytes())?;
     } else {
-        println!("task,start,finish,unit");
+        writeln!(out, "task,start,finish,unit")?;
         for v in 0..inst.original_task_count() as u32 {
-            println!(
+            writeln!(
+                out,
                 "{v},{},{},{}",
                 sched.start(v),
                 sched.finish(v, &inst),
                 inst.unit_of(v)
-            );
+            )?;
         }
     }
+    out.flush()
 }
 
-fn evaluate_cmd(o: &Options) {
+fn evaluate_cmd(o: &Options) -> io::Result<()> {
     let (inst, profile, baseline) = prepare(o);
-    println!(
+    let mut out = io::stdout().lock();
+    writeln!(
+        out,
         "{:<14} {:>12} {:>8} {:>12}",
         "variant", "carbon_cost", "ratio", "status"
-    );
-    println!("{:<14} {:>12} {:>8.3}", "ASAP", baseline, 1.0);
+    )?;
+    writeln!(out, "{:<14} {:>12} {:>8.3}", "ASAP", baseline, 1.0)?;
     for v in Variant::CAWOSCHED {
         let _s = cawo_obs::span("cli", "variant");
         let sched = v.run_with(&inst, &profile, run_params(o));
         let cost = carbon_cost(&inst, &sched, &profile);
-        println!(
+        writeln!(
+            out,
             "{:<14} {:>12} {:>8.3}",
             v.name(),
             cost,
             cost as f64 / baseline.max(1) as f64
-        );
+        )?;
     }
     for &kind in &o.solvers {
         let _s = cawo_obs::span("cli", "solver");
@@ -464,20 +487,29 @@ fn evaluate_cmd(o: &Options) {
             o.solver_budget,
             &WarmStart::default(),
         ) {
-            Ok(res) => println!(
+            Ok(res) => writeln!(
+                out,
                 "{:<14} {:>12} {:>8.3} {:>12}",
                 kind.name(),
                 res.cost,
                 res.cost as f64 / baseline.max(1) as f64,
                 res.status.name(),
-            ),
+            )?,
             Err(e) => {
                 let label = match e {
                     cawosched::exact::SolveError::Unsupported(_) => "unsupported",
                     cawosched::exact::SolveError::Infeasible(_) => "infeasible",
                 };
-                println!("{:<14} {:>12} {:>8} {:>12}", kind.name(), "-", "-", label);
+                writeln!(
+                    out,
+                    "{:<14} {:>12} {:>8} {:>12}",
+                    kind.name(),
+                    "-",
+                    "-",
+                    label
+                )?;
             }
         }
     }
+    out.flush()
 }

@@ -21,6 +21,29 @@ fn generate_emits_parseable_dot() {
 }
 
 #[test]
+fn closed_stdout_ends_quietly() {
+    // The reader takes one line and goes away (`generate | head -1`):
+    // the next write fails with a broken pipe, which must end the
+    // program with exit 0, not a panic.
+    use std::io::{BufRead, BufReader};
+    let mut child = bin()
+        .args(["generate", "--family", "atacseq", "--tasks", "20000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary spawns");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(first.starts_with("digraph"), "{first}");
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn schedule_prints_csv_rows() {
     let out = bin()
         .args([
@@ -151,6 +174,32 @@ fn schedule_reads_dot_from_stdin() {
     );
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.lines().count() >= 3); // header + 2 tasks
+}
+
+#[test]
+fn huge_task_weights_are_rejected() {
+    // 2^62 · 8 wraps a u64: the weight must be refused at the parser,
+    // not turned into a one-unit task or an overflow panic.
+    use std::io::Write;
+    let mut child = bin()
+        .args(["schedule", "--dot", "-", "--variant", "ASAP"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary spawns");
+    child
+        .stdin
+        .as_mut()
+        .unwrap()
+        .write_all(b"digraph g { t0 [weight=4611686018427387904]; }")
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("bad weight"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.stdout.is_empty());
 }
 
 #[test]
