@@ -349,181 +349,3 @@ mod tests {
         }
     }
 }
-
-/// Energy accounting of a schedule: where every unit of energy came
-/// from. `green + brown` equals the platform's total energy demand, and
-/// `brown` equals [`carbon_cost`] — the paper's objective is exactly the
-/// brown share.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EnergyReport {
-    /// Energy drawn from the green budget.
-    pub green: u64,
-    /// Energy drawn above the budget (= the carbon cost).
-    pub brown: u64,
-    /// Green budget that went unused.
-    pub wasted_green: u64,
-    /// Share of demand that was idle power (schedule-independent).
-    pub idle_energy: u64,
-    /// Share of demand from working power (schedule-dependent).
-    pub work_energy: u64,
-}
-
-impl EnergyReport {
-    /// Total platform energy demand over the horizon.
-    pub fn total_demand(&self) -> u64 {
-        self.green + self.brown
-    }
-
-    /// Fraction of demand covered by green energy (1.0 when demand is 0).
-    pub fn green_fraction(&self) -> f64 {
-        let d = self.total_demand();
-        if d == 0 {
-            1.0
-        } else {
-            self.green as f64 / d as f64
-        }
-    }
-}
-
-/// Computes the full energy breakdown with the interval-sweep engine.
-/// The schedule must fit the profile horizon.
-pub fn energy_report(inst: &Instance, sched: &Schedule, profile: &PowerProfile) -> EnergyReport {
-    let n = inst.node_count();
-    let mut events: Vec<(Time, i64)> = Vec::with_capacity(2 * n);
-    let mut work_energy: u128 = 0;
-    for v in 0..n as NodeId {
-        let w = inst.work_power(v) as i64;
-        if w == 0 {
-            continue;
-        }
-        let s = sched.start(v);
-        events.push((s, w));
-        events.push((s + inst.exec(v), -w));
-        work_energy += (w as u128) * inst.exec(v) as u128;
-    }
-    events.sort_unstable();
-
-    let idle = inst.total_idle_power() as i64;
-    let deadline = profile.deadline();
-    let idle_energy = idle as u128 * deadline as u128;
-
-    let mut green: u128 = 0;
-    let mut brown: u128 = 0;
-    let mut wasted: u128 = 0;
-    let mut work: i64 = 0;
-    let mut t: Time = 0;
-    let mut ei = 0;
-    let boundaries = profile.boundaries();
-    let mut bi = 1;
-    while t < deadline {
-        while ei < events.len() && events[ei].0 == t {
-            work += events[ei].1;
-            ei += 1;
-        }
-        let next_event = events.get(ei).map_or(Time::MAX, |&(te, _)| te);
-        let next_boundary = if bi < boundaries.len() {
-            boundaries[bi]
-        } else {
-            Time::MAX
-        };
-        let next = next_event.min(next_boundary).min(deadline);
-        let budget = profile.budget_at(t) as i64;
-        let demand = idle + work;
-        let len = (next - t) as u128;
-        let g = demand.min(budget).max(0) as u128;
-        let b = (demand - budget).max(0) as u128;
-        let wg = (budget - demand).max(0) as u128;
-        green += g * len;
-        brown += b * len;
-        wasted += wg * len;
-        if next == next_boundary {
-            bi += 1;
-        }
-        t = next;
-    }
-    while ei < events.len() {
-        work += events[ei].1;
-        ei += 1;
-    }
-    debug_assert_eq!(work, 0);
-    EnergyReport {
-        green: narrow_cost(green),
-        brown: narrow_cost(brown),
-        wasted_green: narrow_cost(wasted),
-        idle_energy: narrow_cost(idle_energy),
-        work_energy: narrow_cost(work_energy),
-    }
-}
-
-#[cfg(test)]
-mod energy_tests {
-    use super::*;
-    use crate::enhanced::UnitInfo;
-    use cawo_graph::dag::DagBuilder;
-
-    fn one_task() -> Instance {
-        let dag = DagBuilder::new(1).build().unwrap();
-        Instance::from_raw(
-            dag,
-            vec![4],
-            vec![0],
-            vec![UnitInfo {
-                p_idle: 3,
-                p_work: 10,
-                is_link: false,
-            }],
-            0,
-        )
-    }
-
-    #[test]
-    fn brown_equals_carbon_cost() {
-        let inst = one_task();
-        let profile = PowerProfile::from_parts(vec![0, 4, 8], vec![10, 6]);
-        for start in 0..=4 {
-            let sched = Schedule::new(vec![start]);
-            let rep = energy_report(&inst, &sched, &profile);
-            assert_eq!(
-                rep.brown,
-                carbon_cost(&inst, &sched, &profile),
-                "start {start}"
-            );
-        }
-    }
-
-    #[test]
-    fn demand_identity() {
-        let inst = one_task();
-        let profile = PowerProfile::from_parts(vec![0, 4, 8], vec![10, 6]);
-        let sched = Schedule::new(vec![2]);
-        let rep = energy_report(&inst, &sched, &profile);
-        // Demand = idle over horizon + work over task run.
-        assert_eq!(rep.idle_energy, 3 * 8);
-        assert_eq!(rep.work_energy, 10 * 4);
-        assert_eq!(rep.total_demand(), rep.idle_energy + rep.work_energy);
-    }
-
-    #[test]
-    fn green_plus_wasted_is_total_budget() {
-        let inst = one_task();
-        let profile = PowerProfile::from_parts(vec![0, 4, 8], vec![10, 6]);
-        let sched = Schedule::new(vec![0]);
-        let rep = energy_report(&inst, &sched, &profile);
-        assert_eq!(
-            (rep.green + rep.wasted_green) as u128,
-            profile.total_green_energy()
-        );
-    }
-
-    #[test]
-    fn green_fraction_bounds() {
-        let inst = one_task();
-        // Plenty of green: fraction 1.
-        let rich = PowerProfile::uniform(8, 100);
-        let sched = Schedule::new(vec![0]);
-        assert_eq!(energy_report(&inst, &sched, &rich).green_fraction(), 1.0);
-        // No green at all: fraction 0.
-        let poor = PowerProfile::uniform(8, 0);
-        assert_eq!(energy_report(&inst, &sched, &poor).green_fraction(), 0.0);
-    }
-}

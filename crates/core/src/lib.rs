@@ -41,9 +41,7 @@ pub mod subdivision;
 pub mod variant;
 
 pub use bounds::Bounds;
-pub use cost::{
-    carbon_cost, carbon_cost_from, carbon_cost_naive, energy_report, Cost, EnergyReport,
-};
+pub use cost::{carbon_cost, carbon_cost_from, carbon_cost_naive, Cost};
 pub use digest::{InstanceDigest, KeyHasher};
 pub use engine::{
     profile_divergence, reanswer_cost, repair_for_deadline, CostEngine, DenseGrid, EngineKind,

@@ -20,12 +20,10 @@
 //! are explored in increasing order of their immediate cost
 //! contribution to reach good incumbents quickly.
 //!
-//! By default ([`CandidateMode::Auto`]) the branching factor on
-//! single-chain instances is cut from `O(T)` integer starts to the
-//! `O(n·J)` boundary-aligned candidate set of Appendix A.2 — lossless
-//! by Lemma 4.2, so the optimality claim stands. Full enumeration
-//! remains available ([`CandidateMode::Full`]) as the differential-
-//! testing opt-in.
+//! On single-chain instances the branching factor is cut from `O(T)`
+//! integer starts to the `O(n·J)` boundary-aligned candidate set of
+//! Appendix A.2 — lossless by Lemma 4.2, so the optimality claim
+//! stands. Every other instance branches over every integer start.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -42,21 +40,6 @@ use cawo_platform::{PowerProfile, Time};
 
 use crate::solver::{warm_incumbent, Budget, SolveResult, SolveStats, SolveStatus, WarmStart};
 
-/// Which start times a node may branch over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CandidateMode {
-    /// Boundary-aligned candidates where that is provably lossless
-    /// (single-chain instances, via the Appendix A.2 candidate set of
-    /// Lemma 4.2 — `O(n·J)` distinct starts per node instead of
-    /// `O(T)`); full enumeration elsewhere. The default.
-    #[default]
-    Auto,
-    /// Every integer start in `[EST, LST]` — the differential-testing
-    /// opt-in (and the only provably exact set on multi-unit
-    /// instances).
-    Full,
-}
-
 /// Solver configuration.
 #[derive(Debug, Clone, Default)]
 pub struct BnbConfig {
@@ -65,8 +48,6 @@ pub struct BnbConfig {
     pub budget: Budget,
     /// Warm-start incumbent (e.g. the best heuristic schedule).
     pub incumbent: Option<Schedule>,
-    /// Candidate-start restriction (see [`CandidateMode`]).
-    pub candidates: CandidateMode,
     /// Explore the tree on the current `cawo_par` pool (a no-op on a
     /// 1-thread pool). The optimum cost, exhaustion status and proven
     /// bound are unaffected; node counts and equal-cost schedule ties
@@ -520,20 +501,16 @@ pub fn solve_exact_on<E: CostEngine + Clone + Send + Sync>(
     let lst: Vec<Time> = (0..n as NodeId).map(|v| bounds.lst(v)).collect();
 
     // Candidate-start restriction. On a single chain the Appendix A.2
-    // candidate set is provably lossless (Lemma 4.2), so `Auto` applies
-    // it and keeps the optimality claim.
-    let chain = crate::solver::single_chain(inst).ok();
-    let cand_starts = match (config.candidates, &chain) {
-        (CandidateMode::Full, _) | (CandidateMode::Auto, None) => None,
-        (CandidateMode::Auto, Some((order, _))) => {
-            let ends = crate::dp::candidate_end_times(order, inst, profile);
-            let mut sets: Vec<Vec<Time>> = vec![Vec::new(); n];
-            for (i, &v) in order.iter().enumerate() {
-                sets[v as usize] = ends[i].iter().map(|&e| e - inst.exec(v)).collect();
-            }
-            Some(sets)
+    // candidate set is provably lossless (Lemma 4.2), so applying it
+    // keeps the optimality claim.
+    let cand_starts = crate::solver::single_chain(inst).ok().map(|(order, _)| {
+        let ends = crate::dp::candidate_end_times(&order, inst, profile);
+        let mut sets: Vec<Vec<Time>> = vec![Vec::new(); n];
+        for (i, &v) in order.iter().enumerate() {
+            sets[v as usize] = ends[i].iter().map(|&e| e - inst.exec(v)).collect();
         }
-    };
+        sets
+    });
 
     // Incumbent: provided schedule or ASAP, priced through the engine.
     let incumbent = config.incumbent.unwrap_or_else(|| inst.asap_schedule());
@@ -658,7 +635,6 @@ pub(crate) fn solve(
         budget,
         incumbent: Some(incumbent),
         parallel: true,
-        ..BnbConfig::default()
     };
     let res = match engine {
         EngineKind::Dense => solve_exact_on::<DenseGrid>(inst, profile, config),
@@ -897,46 +873,8 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn boundary_candidates_match_full_enumeration_on_chains() {
-        // The A.2 candidate restriction must be lossless on chains
-        // (Lemma 4.2): Auto and Full agree bit-exactly on the optimum,
-        // with Auto exploring no more nodes.
-        let mut rng = StdRng::seed_from_u64(2026);
-        for trial in 0..20 {
-            let n = rng.gen_range(1..5);
-            let exec: Vec<Time> = (0..n).map(|_| rng.gen_range(1..4)).collect();
-            let total: Time = exec.iter().sum();
-            let inst = chain_instance(exec, rng.gen_range(0..3), rng.gen_range(1..6));
-            let horizon = total + rng.gen_range(1..=total + 4);
-            let mid = rng.gen_range(1..horizon);
-            let profile = PowerProfile::from_parts(
-                vec![0, mid, horizon],
-                vec![rng.gen_range(0..8), rng.gen_range(0..8)],
-            );
-            let full = solve_exact(
-                &inst,
-                &profile,
-                BnbConfig {
-                    candidates: CandidateMode::Full,
-                    ..BnbConfig::default()
-                },
-            );
-            let auto = solve_exact(&inst, &profile, BnbConfig::default());
-            assert!(full.optimal && auto.optimal, "trial {trial}");
-            assert_eq!(full.cost, auto.cost, "trial {trial}");
-            assert!(
-                auto.nodes <= full.nodes,
-                "trial {trial}: restricted tree explored more nodes \
-                 ({} vs {})",
-                auto.nodes,
-                full.nodes
-            );
-        }
-    }
-
     /// Small random multi-unit instance: `n` tasks, random forward
-    /// edges, random mapping onto two units. Kept tiny so the `Full`
+    /// edges, random mapping onto two units. Kept tiny so the full
     /// candidate enumeration exhausts in milliseconds.
     fn random_multiunit(rng: &mut StdRng) -> (Instance, PowerProfile) {
         let n = rng.gen_range(2..5usize);

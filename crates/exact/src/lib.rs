@@ -60,7 +60,7 @@ pub mod reduction;
 pub mod solver;
 pub mod sparse_model;
 
-pub use bnb::{solve_exact, solve_exact_on, BnbConfig, BnbResult, CandidateMode};
+pub use bnb::{solve_exact, solve_exact_on, BnbConfig, BnbResult};
 pub use cuts::{root_cut_loop, CutStats};
 pub use dp::{dp_polynomial, dp_pseudo_polynomial, DpResult};
 pub use eschedule::{is_e_schedule, to_e_schedule, to_e_schedule_on};

@@ -316,25 +316,6 @@ impl Dag {
         level
     }
 
-    /// Number of nodes reachable from `v` (including `v`). O(n + m); meant
-    /// for tests and diagnostics, not hot paths.
-    pub fn reachable_count(&self, v: NodeId) -> usize {
-        let mut seen = vec![false; self.node_count()];
-        let mut stack = vec![v];
-        seen[v as usize] = true;
-        let mut count = 0;
-        while let Some(u) = stack.pop() {
-            count += 1;
-            for &w in self.successors(u) {
-                if !seen[w as usize] {
-                    seen[w as usize] = true;
-                    stack.push(w);
-                }
-            }
-        }
-        count
-    }
-
     /// True if the DAG is weakly connected (ignoring edge direction).
     pub fn is_weakly_connected(&self) -> bool {
         let n = self.node_count();
@@ -464,14 +445,6 @@ mod tests {
         let d = diamond();
         assert_eq!(d.sources(), vec![0]);
         assert_eq!(d.sinks(), vec![3]);
-    }
-
-    #[test]
-    fn reachability() {
-        let d = diamond();
-        assert_eq!(d.reachable_count(0), 4);
-        assert_eq!(d.reachable_count(1), 2);
-        assert_eq!(d.reachable_count(3), 1);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! integers and every instance is reproducible from its seed.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_distr::{Distribution, Normal};
 
 use crate::workflow::{Workflow, WorkflowBuilder};
@@ -382,29 +382,6 @@ pub fn instantiate(instance: &PaperInstance, master_seed: u64) -> Workflow {
     wf
 }
 
-/// Samples a random layered DAG — not one of the paper families; used by
-/// property tests and the exact-solver fuzzing harness to get adversarial
-/// shapes.
-pub fn random_layered(rng: &mut StdRng, layers: usize, width: usize, p_edge: f64) -> Workflow {
-    let mut b = WorkflowBuilder::new("random-layered");
-    let mut prev: Vec<NodeId> = Vec::new();
-    for _ in 0..layers {
-        let k = rng.gen_range(1..=width);
-        let cur: Vec<NodeId> = (0..k)
-            .map(|_| b.add_task(rng.gen_range(1..=20) as Weight))
-            .collect();
-        for &u in &prev {
-            for &v in &cur {
-                if rng.gen_bool(p_edge) {
-                    b.add_dependence(u, v, rng.gen_range(1..=5) as Weight);
-                }
-            }
-        }
-        prev = cur;
-    }
-    b.build().expect("layered construction is acyclic")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -527,14 +504,6 @@ mod tests {
     fn eager_caps_at_18000() {
         assert_eq!(*Family::Eager.paper_sizes().last().unwrap(), 18_000);
         assert_eq!(*Family::Atacseq.paper_sizes().last().unwrap(), 30_000);
-    }
-
-    #[test]
-    fn random_layered_is_valid() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let wf = random_layered(&mut rng, 5, 4, 0.5);
-        assert!(wf.dag().topological_order().is_some());
-        assert!(wf.task_count() >= 5);
     }
 
     #[test]

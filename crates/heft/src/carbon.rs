@@ -23,12 +23,12 @@
 //! runs plain HEFT to estimate the horizon, builds the profile, and then
 //! re-maps carbon-aware under it.
 
-use cawo_graph::{NodeId, Workflow};
+use cawo_graph::Workflow;
 use cawo_platform::{
     Cluster, DeadlineFactor, Power, PowerProfile, ProcId, ProfileConfig, Scenario, Time,
 };
 
-use crate::{heft_schedule, Mapping};
+use crate::{heft_schedule, list_schedule, Mapping, Slot};
 
 /// Parameters of the carbon-aware first pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -145,117 +145,41 @@ pub fn carbon_heft_schedule(
     if config.carbon_weight <= 0.0 {
         return heft_schedule(wf, cluster);
     }
-    let n = wf.task_count();
-    let dag = wf.dag();
-    let p = cluster.proc_count();
-
-    // Ranks identical to plain HEFT.
-    let mean_exec: Vec<f64> = (0..n)
-        .map(|v| {
-            let w = wf.node_weight(v as NodeId);
-            (0..p)
-                .map(|q| cluster.exec_time(w, q as ProcId) as f64)
-                .sum::<f64>()
-                / p as f64
-        })
-        .collect();
-    let topo = dag.topological_order().expect("workflow is acyclic");
-    let mut rank = vec![0.0f64; n];
-    for &v in topo.iter().rev() {
-        let mut best = 0.0f64;
-        for (s, e) in dag.out_edges(v) {
-            let c = if p > 1 { wf.edge_weight(e) as f64 } else { 0.0 };
-            best = best.max(c + rank[s as usize]);
-        }
-        rank[v as usize] = mean_exec[v as usize] + best;
-    }
-    let mut prio: Vec<NodeId> = (0..n as NodeId).collect();
-    prio.sort_by(|&a, &b| {
-        rank[b as usize]
-            .partial_cmp(&rank[a as usize])
-            .expect("ranks are finite")
-            .then(a.cmp(&b))
-    });
-
+    let lambda = config.carbon_weight.clamp(0.0, 1.0);
+    let power = |q: ProcId| {
+        let cp = cluster.proc(q);
+        (cp.p_idle + cp.p_work) as i64
+    };
     let mut budget = BudgetTrack::new(profile, cluster.total_idle_power());
-    let mut busy: Vec<Vec<(Time, Time, NodeId)>> = vec![Vec::new(); p];
-    let mut proc_of = vec![0 as ProcId; n];
-    let mut start = vec![0 as Time; n];
-    let mut finish = vec![0 as Time; n];
-
-    for &v in &prio {
-        // Evaluate every processor's earliest slot.
-        let mut cands: Vec<(ProcId, Time, Time, i64)> = Vec::with_capacity(p);
-        for q in 0..p as ProcId {
-            let exec = cluster.exec_time(wf.node_weight(v), q);
-            let mut ready = 0;
-            for (u, e) in dag.in_edges(v) {
-                let mut t = finish[u as usize];
-                if proc_of[u as usize] != q {
-                    t += cluster.comm_time(wf.edge_weight(e));
-                }
-                ready = ready.max(t);
-            }
-            let st = crate::earliest_slot(&busy[q as usize], ready, exec);
-            let ft = st + exec;
-            let cp = cluster.proc(q);
-            let brown = budget.brown_energy(st, ft, (cp.p_idle + cp.p_work) as i64);
-            cands.push((q, st, ft, brown));
-        }
+    // Every processor's slot with its estimated brown energy.
+    let mut cands: Vec<(Slot, i64)> = Vec::with_capacity(cluster.proc_count());
+    list_schedule(wf, cluster, |slots| {
+        cands.clear();
+        cands.extend(slots.map(|s| (s, 0)));
         // Makespan guard: keep only candidates close to the best EFT.
-        let min_ft = cands
-            .iter()
-            .map(|c| c.2)
-            .min()
-            .expect("every node has candidates");
+        let min_ft = cands.iter().fold(Time::MAX, |m, c| m.min(c.0.finish));
         let ft_cap = if config.makespan_slack.is_finite() {
             (min_ft as f64 * (1.0 + config.makespan_slack.max(0.0))).ceil() as Time
         } else {
             Time::MAX
         };
-        cands.retain(|c| c.2 <= ft_cap);
-        let max_ft = cands
+        cands.retain(|c| c.0.finish <= ft_cap);
+        for (s, brown) in &mut cands {
+            *brown = budget.brown_energy(s.start, s.finish, power(s.proc));
+        }
+        let max_ft = cands.iter().fold(1, |m, c| m.max(c.0.finish)) as f64;
+        let max_brown = cands.iter().fold(1, |m, c| m.max(c.1)) as f64;
+        let score = |c: &(Slot, i64)| {
+            (1.0 - lambda) * c.0.finish as f64 / max_ft + lambda * c.1 as f64 / max_brown
+        };
+        // `min_by` keeps the first minimum: the lowest processor.
+        let &(s, _) = cands
             .iter()
-            .map(|c| c.2)
-            .max()
-            .expect("retain kept min_ft")
-            .max(1) as f64;
-        let max_brown = cands
-            .iter()
-            .map(|c| c.3)
-            .max()
-            .expect("retain kept min_ft")
-            .max(1) as f64;
-        let lambda = config.carbon_weight.clamp(0.0, 1.0);
-        let (q, st, ft, _) = cands
-            .into_iter()
-            .min_by(|a, b| {
-                let score = |c: &(ProcId, Time, Time, i64)| {
-                    (1.0 - lambda) * c.2 as f64 / max_ft + lambda * c.3 as f64 / max_brown
-                };
-                score(a)
-                    .partial_cmp(&score(b))
-                    .expect("scores are finite")
-                    .then(a.0.cmp(&b.0))
-            })
-            .expect("cluster has processors");
-
-        proc_of[v as usize] = q;
-        start[v as usize] = st;
-        finish[v as usize] = ft;
-        let cp = cluster.proc(q);
-        budget.commit(st, ft, (cp.p_idle + cp.p_work) as i64);
-        let slots = &mut busy[q as usize];
-        let at = slots.partition_point(|&(s, _, _)| s < st);
-        slots.insert(at, (st, ft, v));
-    }
-
-    let mut proc_order = vec![Vec::new(); p];
-    for (q, slots) in busy.iter().enumerate() {
-        proc_order[q] = slots.iter().map(|&(_, _, v)| v).collect();
-    }
-    Mapping::from_parts(wf, cluster, proc_of, proc_order, start, finish)
-        .expect("list construction is consistent")
+            .min_by(|a, b| score(a).partial_cmp(&score(b)).expect("scores are finite"))
+            .expect("the guard keeps the best EFT");
+        budget.commit(s.start, s.finish, power(s.proc));
+        s
+    })
 }
 
 /// The full two-pass pipeline of §7: plain HEFT estimates the horizon,

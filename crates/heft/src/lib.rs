@@ -197,8 +197,35 @@ impl Mapping {
 ///   (mean communication cost at unit bandwidth),
 /// * priority: non-increasing `rank_u`, ties by task id (no special
 ///   tie-breaking, §6.1),
-/// * placement: insertion-based earliest finish time over all processors.
+/// * placement: insertion-based earliest finish time over all processors,
+///   ties by lowest processor id.
 pub fn heft_schedule(wf: &Workflow, cluster: &Cluster) -> Mapping {
+    // `min_by_key` keeps the first minimum: the lowest processor.
+    list_schedule(wf, cluster, |slots| {
+        slots
+            .min_by_key(|s| s.finish)
+            .expect("cluster has at least one processor")
+    })
+}
+
+/// A processor's earliest insertion slot for the task being placed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Slot {
+    pub(crate) proc: ProcId,
+    pub(crate) start: Time,
+    pub(crate) finish: Time,
+}
+
+/// The list scheduler behind [`heft_schedule`] and
+/// [`carbon_heft_schedule`]: HEFT's upward ranks and priority order,
+/// then for each task every processor's ready time and earliest
+/// insertion slot. `pick` draws those slots in processor order and
+/// returns the one to take.
+pub(crate) fn list_schedule(
+    wf: &Workflow,
+    cluster: &Cluster,
+    mut pick: impl FnMut(&mut dyn Iterator<Item = Slot>) -> Slot,
+) -> Mapping {
     let n = wf.task_count();
     let dag = wf.dag();
     let p = cluster.proc_count();
@@ -235,7 +262,7 @@ pub fn heft_schedule(wf: &Workflow, cluster: &Cluster) -> Mapping {
             .then(a.cmp(&b))
     });
 
-    // Insertion-based EFT placement.
+    // Insertion-based placement.
     let mut busy: Vec<Vec<(Time, Time, NodeId)>> = vec![Vec::new(); p];
     let mut proc_of = vec![0 as ProcId; n];
     let mut start = vec![0 as Time; n];
@@ -247,8 +274,7 @@ pub fn heft_schedule(wf: &Workflow, cluster: &Cluster) -> Mapping {
             dag.predecessors(v).iter().all(|&u| placed[u as usize]),
             "HEFT priority order must be topological"
         );
-        let mut best: Option<(Time, Time, ProcId)> = None;
-        for q in 0..p as ProcId {
+        let mut candidates = (0..p as ProcId).map(|q| {
             let exec = cluster.exec_time(wf.node_weight(v), q);
             // Ready time on q: all predecessors finished and data arrived.
             let mut ready = 0;
@@ -260,16 +286,17 @@ pub fn heft_schedule(wf: &Workflow, cluster: &Cluster) -> Mapping {
                 ready = ready.max(t);
             }
             let st = earliest_slot(&busy[q as usize], ready, exec);
-            let ft = st + exec;
-            let better = match best {
-                None => true,
-                Some((bft, _, _)) => ft < bft,
-            };
-            if better {
-                best = Some((ft, st, q));
+            Slot {
+                proc: q,
+                start: st,
+                finish: st + exec,
             }
-        }
-        let (ft, st, q) = best.expect("cluster has at least one processor");
+        });
+        let Slot {
+            proc: q,
+            start: st,
+            finish: ft,
+        } = pick(&mut candidates);
         proc_of[v as usize] = q;
         start[v as usize] = st;
         finish[v as usize] = ft;
@@ -293,7 +320,7 @@ pub fn heft_schedule(wf: &Workflow, cluster: &Cluster) -> Mapping {
 
 /// Earliest start `>= ready` such that `[start, start+exec)` fits between
 /// existing busy slots (insertion policy).
-pub(crate) fn earliest_slot(busy: &[(Time, Time, NodeId)], ready: Time, exec: Time) -> Time {
+fn earliest_slot(busy: &[(Time, Time, NodeId)], ready: Time, exec: Time) -> Time {
     let mut t = ready;
     // Start scanning at the first slot that could overlap [t, t+exec).
     let mut i = busy.partition_point(|&(_, e, _)| e <= ready);

@@ -104,3 +104,69 @@ proptest! {
         prop_assert!(carbon.seed_makespan() <= 3 * plain.seed_makespan().max(1));
     }
 }
+
+/// FNV-1a checksum over `heft_schedule` and `carbon_heft_schedule`
+/// mappings — every task's processor, seed start and seed finish, then
+/// every processor's order — across the four families, three sizes,
+/// three seeds, S1–S4 and six (λ, slack) pairs, recorded before the two
+/// schedulers shared one list-scheduling loop.
+const PINNED_MAPPINGS: u64 = 16_988_086_415_460_807_966;
+
+#[test]
+fn heft_and_carbon_heft_mappings_are_pinned() {
+    use cawo_platform::{DeadlineFactor, ProfileConfig, Scenario};
+    let blends = [
+        (0.0, 0.5),
+        (0.25, 0.4),
+        (0.5, 0.5),
+        (0.75, 0.0),
+        (1.0, f64::INFINITY),
+        (1.0, 0.0),
+    ];
+    let (mut checksum, mut plain_count, mut carbon_count) = (0xCBF2_9CE4_8422_2325_u64, 0, 0);
+    for family in Family::ALL {
+        for tasks in [30, 100, 300] {
+            for seed in 1..=3u64 {
+                let wf = generate(&GeneratorConfig::new(family, tasks, seed));
+                let cluster = Cluster::from_type_counts("pin", &[1, 2, 1, 2, 1, 2], seed);
+                let plain = heft_schedule(&wf, &cluster);
+                checksum = fold_mapping(checksum, &wf, &cluster, &plain);
+                plain_count += 1;
+                for scenario in Scenario::ALL {
+                    let profile = ProfileConfig::new(scenario, DeadlineFactor::X20, seed)
+                        .build(&cluster, plain.seed_makespan());
+                    for (carbon_weight, makespan_slack) in blends {
+                        let config = CarbonHeftConfig {
+                            carbon_weight,
+                            makespan_slack,
+                        };
+                        let m = carbon_heft_schedule(&wf, &cluster, &profile, config);
+                        checksum = fold_mapping(checksum, &wf, &cluster, &m);
+                        carbon_count += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!((plain_count, carbon_count), (36, 864));
+    assert_eq!(checksum, PINNED_MAPPINGS, "mapping checksum");
+}
+
+/// Folds one mapping into an FNV-1a checksum: per task its processor,
+/// seed start and seed finish, then each processor's order.
+fn fold_mapping(checksum: u64, wf: &cawo_graph::Workflow, cluster: &Cluster, m: &Mapping) -> u64 {
+    let fold = |h: u64, x: u64| (h ^ x).wrapping_mul(0x0100_0000_01B3);
+    let mut h = checksum;
+    for v in 0..wf.task_count() as cawo_graph::NodeId {
+        h = fold(h, u64::from(m.proc_of(v)));
+        h = fold(h, m.seed_start(v));
+        h = fold(h, m.seed_finish(v));
+    }
+    for q in 0..cluster.proc_count() as ProcId {
+        h = fold(h, u64::MAX);
+        for &v in m.order_on(q) {
+            h = fold(h, u64::from(v));
+        }
+    }
+    h
+}

@@ -123,8 +123,11 @@ fn main() -> ExitCode {
     let mut last_t_us = 0.0f64;
     // Per-tid stack depth of open spans (B pushes, E pops).
     let mut open: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-    // Chrome conversion accumulators.
+    // Chrome conversion accumulators: the timeline, the drained
+    // counter totals, and the drain time the meta line stamps.
     let mut chrome_events: Vec<String> = Vec::new();
+    let mut totals: Vec<String> = Vec::new();
+    let mut drained_at_us = None;
 
     for (idx, line) in text.lines().enumerate() {
         let line_no = idx + 1;
@@ -168,12 +171,18 @@ fn main() -> ExitCode {
                         return fail(line_no, &format!("host block missing `{key}`"));
                     }
                 }
+                drained_at_us = get_num(&v, "drained_at_us");
             }
             "counter" => {
                 counts[1] += 1;
-                if get_str(&v, "name").is_none() || get_num(&v, "value").is_none() {
+                let (Some(name), Some(value)) = (get_str(&v, "name"), get_num(&v, "value")) else {
                     return fail(line_no, "counter line wants string `name`, number `value`");
-                }
+                };
+                totals.push(format!(
+                    "{}: {}",
+                    json_str(name),
+                    to_json(&Value::Number(value))
+                ));
             }
             "span" => {
                 counts[2] += 1;
@@ -268,6 +277,13 @@ fn main() -> ExitCode {
     // drained mid-span); only *unbalanced ends* are schema errors.
 
     if let Some(out_path) = chrome_out {
+        // The drained counter totals ride along as one global instant.
+        chrome_events.push(format!(
+            "{{\"ph\": \"i\", \"s\": \"g\", \"ts\": {}, \"pid\": 1, \"tid\": 0, \
+             \"cat\": \"obs\", \"name\": \"counter totals\", \"args\": {{{}}}}}",
+            drained_at_us.unwrap_or(last_t_us),
+            totals.join(", "),
+        ));
         let doc = format!(
             "{{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n{}\n]}}\n",
             chrome_events.join(",\n")

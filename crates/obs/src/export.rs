@@ -1,13 +1,13 @@
-//! Exporters: the JSONL event-trace writer, the Chrome trace-event
-//! converter (`chrome://tracing` / Perfetto), and the human-readable
+//! Exporters: the JSONL event-trace writer and the human-readable
 //! `--profile` summary table.
 //!
 //! The JSONL schema is documented in `docs/OBSERVABILITY.md` and
-//! validated by the `obs_check` binary; [`SCHEMA_VERSION`] gates both.
+//! validated by the `obs_check` binary, which also converts a trace to
+//! the Chrome trace-event format; [`SCHEMA_VERSION`] gates both.
 
 use std::io::{self, Write};
 
-use crate::{host_meta_json, level, now_us, Phase, Snapshot};
+use crate::{host_meta_json, level, now_us, Snapshot};
 
 /// Version stamped into every JSONL meta line and checked by
 /// `obs_check`. Bump when a line type or required field changes.
@@ -105,58 +105,6 @@ pub fn write_jsonl(snap: &Snapshot, out: &mut impl Write) -> io::Result<()> {
         )?;
     }
     Ok(())
-}
-
-/// Renders the snapshot as a Chrome trace-event JSON document —
-/// loadable in `chrome://tracing` or <https://ui.perfetto.dev>. Span
-/// begin/end become `B`/`E` duration events, instants become `i`,
-/// samples become `C` counter tracks, and the drained counter totals
-/// are attached as one final metadata instant.
-pub fn chrome_trace(snap: &Snapshot) -> String {
-    let mut evs: Vec<String> = Vec::with_capacity(snap.events.len() + 1);
-    for e in &snap.events {
-        let common = format!(
-            "\"ts\": {}, \"pid\": 1, \"tid\": {}, \"cat\": \"{}\", \"name\": \"{}\"",
-            e.t_us,
-            e.tid,
-            esc(e.cat),
-            esc(e.name)
-        );
-        let ev = match e.ph {
-            Phase::Begin => format!(
-                "{{\"ph\": \"B\", {common}, \"args\": {}}}",
-                args_obj(&e.args)
-            ),
-            Phase::End => format!("{{\"ph\": \"E\", {common}}}"),
-            Phase::Instant => format!(
-                "{{\"ph\": \"i\", \"s\": \"t\", {common}, \"args\": {}}}",
-                args_obj(&e.args)
-            ),
-            // Counter tracks want the series value keyed by the track
-            // name; Chrome plots one line per args key.
-            Phase::Sample => format!(
-                "{{\"ph\": \"C\", {common}, \"args\": {}}}",
-                args_obj(&e.args)
-            ),
-        };
-        evs.push(ev);
-    }
-    let totals: Vec<String> = snap
-        .counters
-        .iter()
-        .filter(|&&(_, v)| v != 0)
-        .map(|&(c, v)| format!("\"{}\": {v}", c.name()))
-        .collect();
-    evs.push(format!(
-        "{{\"ph\": \"i\", \"s\": \"g\", \"ts\": {}, \"pid\": 1, \"tid\": 0, \
-         \"cat\": \"obs\", \"name\": \"counter totals\", \"args\": {{{}}}}}",
-        now_us(),
-        totals.join(", "),
-    ));
-    format!(
-        "{{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n{}\n]}}\n",
-        evs.join(",\n")
-    )
 }
 
 /// Renders the human-readable `--profile` summary: nonzero counters,

@@ -57,7 +57,7 @@ use std::time::Instant;
 
 mod export;
 
-pub use export::{chrome_trace, summary_table, write_jsonl, SCHEMA_VERSION};
+pub use export::{summary_table, write_jsonl, SCHEMA_VERSION};
 
 // ---------------------------------------------------------------------
 // Level

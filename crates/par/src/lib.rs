@@ -19,10 +19,10 @@
 //! Parallel calls run on the *current* pool: the innermost
 //! [`ThreadPool::install`] on the calling thread, else the pool owning
 //! the current worker thread, else a global pool created on first use
-//! with `CAWO_THREADS` threads (all cores when unset or `0`). A pool
-//! of 1 thread executes everything inline on the calling thread — no
-//! worker threads, no queues — which is what makes `CAWO_THREADS=1`
-//! runs strictly sequential.
+//! with `CAWO_THREADS` threads (all cores when unset or `0`). No pool
+//! has more than 256 threads. A pool of 1 thread executes everything
+//! inline on the calling thread — no worker threads, no queues — which
+//! is what makes `CAWO_THREADS=1` runs strictly sequential.
 //!
 //! ```
 //! use cawo_par::prelude::*;

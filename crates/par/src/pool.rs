@@ -83,8 +83,13 @@ impl std::fmt::Debug for ThreadPool {
     }
 }
 
-/// Error building a pool (thread spawn failure, or a global pool that
-/// already exists).
+/// The most threads one pool may have. [`ThreadPoolBuilder::build`]
+/// refuses larger counts before it starts any thread, and
+/// `CAWO_THREADS` is clamped to it.
+pub(crate) const MAX_THREADS: usize = 256;
+
+/// Error building a pool: a thread count above the ceiling of 256, or
+/// a thread the OS refused to start.
 #[derive(Debug)]
 pub struct ThreadPoolBuildError {
     msg: String,
@@ -125,13 +130,19 @@ impl ThreadPoolBuilder {
         self
     }
 
-    /// Builds the pool, spawning its workers.
+    /// Builds the pool, spawning its workers. Counts above 256 are
+    /// refused before any thread starts.
     pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
         let n = if self.num_threads == 0 {
             crate::registry::default_thread_count()
         } else {
             self.num_threads
         };
+        if n > MAX_THREADS {
+            return Err(ThreadPoolBuildError {
+                msg: format!("{n} threads requested, above the ceiling of {MAX_THREADS}"),
+            });
+        }
         let registry = Registry::new(n);
         let mut handles = Vec::new();
         if n > 1 {
@@ -148,23 +159,6 @@ impl ThreadPoolBuilder {
             }
         }
         Ok(ThreadPool { registry, handles })
-    }
-
-    /// Builds the pool and installs it as the process-global pool.
-    /// Fails if the global pool already exists (built explicitly, or
-    /// created lazily by an earlier parallel call).
-    ///
-    /// ```
-    /// // At most one call per process can succeed; later ones error.
-    /// let first = cawo_par::ThreadPoolBuilder::new().num_threads(2).build_global();
-    /// let second = cawo_par::ThreadPoolBuilder::new().num_threads(8).build_global();
-    /// assert!(first.is_ok() || second.is_err());
-    /// ```
-    pub fn build_global(self) -> Result<(), ThreadPoolBuildError> {
-        let pool = self.build()?;
-        crate::registry::set_global(pool).map_err(|_| ThreadPoolBuildError {
-            msg: "the global pool is already initialised".to_string(),
-        })
     }
 }
 

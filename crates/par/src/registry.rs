@@ -75,21 +75,17 @@ static GLOBAL: OnceLock<crate::pool::ThreadPool> = OnceLock::new();
 
 /// Number of threads the global pool gets on first use: `CAWO_THREADS`
 /// if set to a positive integer, `available_parallelism()` otherwise
-/// (`CAWO_THREADS=0` and unparsable values mean "all cores").
+/// (`CAWO_THREADS=0` and unparsable values mean "all cores"), clamped
+/// to the pool ceiling.
 pub(crate) fn default_thread_count() -> usize {
-    match std::env::var("CAWO_THREADS")
+    let n = match std::env::var("CAWO_THREADS")
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())
     {
         Some(n) if n > 0 => n,
         _ => std::thread::available_parallelism().map_or(1, |n| n.get()),
-    }
-}
-
-/// Installs `pool` for the global slot. Fails when the global pool has
-/// already been created (lazily or explicitly).
-pub(crate) fn set_global(pool: crate::pool::ThreadPool) -> Result<(), crate::pool::ThreadPool> {
-    GLOBAL.set(pool)
+    };
+    n.min(crate::pool::MAX_THREADS)
 }
 
 impl Registry {

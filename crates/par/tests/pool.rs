@@ -250,6 +250,16 @@ fn install_is_stacked_per_thread() {
 }
 
 #[test]
+fn thread_counts_above_the_ceiling_are_refused() {
+    // Refused before any thread starts: this spawns nothing.
+    let err = ThreadPoolBuilder::new()
+        .num_threads(257)
+        .build()
+        .unwrap_err();
+    assert!(err.to_string().contains("ceiling of 256"), "{err}");
+}
+
+#[test]
 fn stress_many_small_batches() {
     // Rapid-fire small parallel passes; shakes out wake/sleep races.
     let p = pool(4);

@@ -118,32 +118,6 @@ impl Cluster {
         Self::from_types("tiny", &types, seed)
     }
 
-    /// A cluster of `p` *uniform* unit-speed processors with
-    /// `P_idle = 0, P_work = 1` — the UCAS setting of the NP-completeness
-    /// proof (§4.2) and of the uniprocessor DP tests.
-    pub fn uniform_unit(p: usize) -> Self {
-        let t = ProcessorType {
-            name: "UNIT",
-            speed: crate::processor::REFERENCE_SPEED,
-            p_idle: 0,
-            p_work: 1,
-        };
-        let mut c = Self::from_types("uniform-unit", &[(t, p)], 0);
-        // Links in the UCAS reduction carry no communications and no power.
-        for lp in &mut c.link_power {
-            *lp = (0, 0);
-        }
-        c.recompute_totals();
-        c
-    }
-
-    fn recompute_totals(&mut self) {
-        self.total_idle = self.procs.iter().map(|q| q.p_idle).sum::<Power>()
-            + self.link_power.iter().map(|&(i, _)| i).sum::<Power>();
-        self.total_work = self.procs.iter().map(|q| q.p_work).sum::<Power>()
-            + self.link_power.iter().map(|&(_, w)| w).sum::<Power>();
-    }
-
     /// Cluster name (`"small"`, `"large"`, …).
     pub fn name(&self) -> &str {
         &self.name
@@ -306,19 +280,6 @@ mod tests {
         assert_eq!(c.proc_total_power(0), 50);
         assert_eq!(c.proc_total_power(1), 300);
         assert_eq!(c.max_proc_total_power(), 300);
-    }
-
-    #[test]
-    fn uniform_unit_matches_ucas() {
-        let c = Cluster::uniform_unit(3);
-        assert_eq!(c.proc_count(), 3);
-        for q in c.procs() {
-            assert_eq!((q.p_idle, q.p_work), (0, 1));
-        }
-        assert_eq!(c.total_idle_power(), 0);
-        assert_eq!(c.total_work_power(), 3);
-        // Unit speed == reference speed: weight w runs in w time units.
-        assert_eq!(c.exec_time(17, 0), 17);
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //! scenario column next to S1–S4; `--serial-timing` times algorithms
 //! one at a time so per-algorithm wall-clocks are contention-free.
 //! `--threads N` runs the grid on a dedicated N-thread pool (`1` =
-//! sequential, `0` = all cores — the default); every row records the
-//! effective worker count in the trailing `threads` column, and
-//! results are bit-identical at every setting (docs/CONCURRENCY.md).
+//! sequential, `0` = all cores — the default; above 256 exits 2); every
+//! row records the effective worker count in the trailing `threads`
+//! column, and results are bit-identical at every setting
+//! (docs/CONCURRENCY.md).
 //! `--cache` shares one warm-path solve cache across all solver rows:
 //! repeated (workflow, solver) queries across the grid's profiles
 //! re-solve from cached warm state, and each solver row reports the
@@ -38,74 +39,10 @@ use cawo_cache::{CacheOutcome, SolveCache};
 use cawo_core::EngineKind;
 use cawo_exact::{Budget, SolverKind};
 use cawo_platform::TraceSource;
+use cawo_sim::cli::{die, stdout_failed, with_threads, ObsArgs};
 use cawo_sim::experiment::{
     run_grid, size_class, ExperimentConfig, GridScale, SpecResult, TraceScenario,
 };
-
-/// Observability knobs: `--profile` prints the summary table after the
-/// grid, `--obs-out` writes the JSONL event trace (validated by
-/// `obs_check`, convertible to a Chrome trace with `--chrome`). Both
-/// raise the recording level on their own when neither `--log-level`
-/// nor `CAWO_LOG` asked for one: `--profile` needs Summary, `--obs-out`
-/// needs the Trace timeline.
-#[derive(Default)]
-struct ObsArgs {
-    log_level: Option<String>,
-    profile: bool,
-    obs_out: Option<String>,
-}
-
-impl ObsArgs {
-    fn init(&self) -> Result<(), String> {
-        let lvl = cawo_obs::init(self.log_level.as_deref())?;
-        if self.log_level.is_none() && std::env::var_os("CAWO_LOG").is_none() {
-            if self.obs_out.is_some() {
-                cawo_obs::set_level(cawo_obs::Level::Trace);
-            } else if self.profile && lvl < cawo_obs::Level::Summary {
-                cawo_obs::set_level(cawo_obs::Level::Summary);
-            }
-        }
-        Ok(())
-    }
-
-    /// Drains and reports once the run is over (pool quiescent).
-    fn finish(&self) -> Result<(), String> {
-        if !self.profile && self.obs_out.is_none() {
-            return Ok(());
-        }
-        let snap = cawo_obs::drain();
-        if let Some(path) = &self.obs_out {
-            let mut buf = Vec::new();
-            cawo_obs::write_jsonl(&snap, &mut buf).map_err(|e| e.to_string())?;
-            std::fs::write(path, &buf).map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!("observability trace written to {path}");
-        }
-        if self.profile {
-            eprint!("{}", cawo_obs::summary_table(&snap));
-        }
-        Ok(())
-    }
-}
-
-#[expect(clippy::exit, reason = "a CLI's usage/error path legitimately exits")]
-fn die(msg: &str) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(2)
-}
-
-/// Ends the program after a failed write to stdout: quietly with exit 0
-/// when the reader has gone (`experiments | head`), through [`die`] on
-/// any other error.
-#[expect(
-    clippy::exit,
-    reason = "a closed stdout ends the output the reader asked for"
-)]
-fn stdout_failed(e: &io::Error) -> ! {
-    if e.kind() == io::ErrorKind::BrokenPipe {
-        std::process::exit(0)
-    }
-    die(&format!("cannot write to stdout: {e}"))
-}
 
 /// Writes the grid as CSV, one row per instance × algorithm; `threads`
 /// fills the trailing column.
@@ -166,6 +103,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cfg = ExperimentConfig::new(GridScale::Quick, 42);
     let mut obs_args = ObsArgs::default();
+    let mut threads = 0;
     let mut i = 0;
     let next = |args: &[String], i: &mut usize| -> String {
         *i += 1;
@@ -217,7 +155,7 @@ fn main() {
             "--obs-out" => obs_args.obs_out = Some(next(&args, &mut i)),
             "--serial-timing" => cfg.serial_timing = true,
             "--threads" => {
-                cfg.threads = next(&args, &mut i)
+                threads = next(&args, &mut i)
                     .parse()
                     .unwrap_or_else(|_| die("expected --threads <N> (0 = all cores)"));
             }
@@ -225,7 +163,7 @@ fn main() {
         }
         i += 1;
     }
-    obs_args.init().unwrap_or_else(|e| die(&e));
+    obs_args.init();
 
     eprintln!(
         "running grid (scale {:?}, seed {}, engine {}, {} solver(s){}{}{}) ...",
@@ -245,14 +183,10 @@ fn main() {
             ""
         },
     );
-    // The worker count recorded per row: the dedicated pool's size, or
-    // the ambient pool's when no override was given.
-    let threads = if cfg.threads == 0 {
-        rayon::current_num_threads()
-    } else {
-        cfg.threads
-    };
-    let results = run_grid(&cfg);
+    // The worker count recorded per row is the size of the pool the
+    // grid ran on.
+    let (results, threads) =
+        with_threads(threads, || (run_grid(&cfg), rayon::current_num_threads()));
     let skipped = cfg.grid().len() - results.len();
     eprintln!("{} instances done on {threads} thread(s)", results.len());
     if let Some(cache) = &cfg.cache {
@@ -264,7 +198,7 @@ fn main() {
     }
 
     write_csv(&results, threads).unwrap_or_else(|e| stdout_failed(&e));
-    obs_args.finish().unwrap_or_else(|e| die(&e));
+    obs_args.finish();
     // A partial grid (instances skipped over unloadable traces) still
     // emits its rows above, but must not read as a clean run to
     // scripted consumers.

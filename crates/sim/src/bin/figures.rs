@@ -2,17 +2,21 @@
 //!
 //! ```text
 //! figures <artifact> [--scale quick|medium|full] [--seed N]
-//! artifact ∈ {table1, table2, fig1, fig2, …, fig8, fig10, …, fig17, all}
+//! artifact ∈ {table1, table2, fig1, fig2, …, fig17, ext-heft, ext-ls, all}
 //! ```
 //!
-//! Each handler prints the same rows/series the paper plots.
+//! Each handler writes the same rows/series the paper plots to stdout.
+//! An unknown artifact exits 2 before any work; a closed stdout ends
+//! the program quietly with exit 0.
 
-#![expect(clippy::print_stdout, clippy::print_stderr, reason = "a CLI binary")]
+#![expect(clippy::print_stderr, reason = "a CLI binary")]
 
 use std::collections::HashMap;
+use std::io::{self, Write};
 
 use cawo_core::{Cost, Variant};
 use cawo_platform::{DeadlineFactor, Scenario, PAPER_PROCESSOR_TYPES};
+use cawo_sim::cli::{die, stdout_failed};
 use cawo_sim::exactcmp::{run_exact_comparison, ExactCmpConfig};
 use cawo_sim::experiment::{run_grid, size_class, ExperimentConfig, GridScale, SpecResult};
 use cawo_sim::metrics::{
@@ -47,144 +51,167 @@ fn main() {
         i += 1;
     }
     let artifact = artifact.unwrap_or_else(|| die(USAGE));
+    let handler = match artifact.as_str() {
+        "all" => None,
+        name => match ARTIFACTS.iter().find(|&&(n, _)| n == name) {
+            Some(&(_, h)) => Some(h),
+            None => die(&format!("unknown artifact {name}\n{USAGE}")),
+        },
+    };
 
-    // Artifacts that do not need the grid.
-    match artifact.as_str() {
-        "table1" => return table1(),
-        "fig7" => return fig7(seed, scale),
-        "fig9" => {
-            println!(
-                "Figure 9 illustrates the E-schedule block-shift argument of \
-                 Lemma 4.2; it has no data series. See cawo-exact::dp."
-            );
-            return;
-        }
-        "ext-heft" => return ext_heft(seed),
-        "ext-ls" => return ext_ls(seed),
-        _ => {}
-    }
-
-    eprintln!("running grid (scale {scale:?}, seed {seed}) ...");
-    let cfg = ExperimentConfig::new(scale, seed);
-    let results = run_grid(&cfg);
-    eprintln!("{} instances done", results.len());
-
-    match artifact.as_str() {
-        "table2" => table2(&results),
-        "fig1" => fig1(&results),
-        "fig2" => fig2(&results, None),
-        "fig3" => fig3(&results),
-        "fig4" => fig4(&results, None),
-        "fig5" => fig5(&results),
-        "fig6" => fig6(&results),
-        "fig8" => fig8(&results, None),
-        "fig10" => fig2(&results, Some(FigFilter::Deadline(DeadlineFactor::X20))),
-        "fig11" => fig4(&results, Some(FigFilter::Deadline(DeadlineFactor::X20))),
-        "fig12" => fig12(&results),
-        "fig13" => fig13(&results),
-        "fig14" => fig14(&results),
-        "fig15" => fig15(&results),
-        "fig16" => fig16(&results),
-        "fig17" => fig17(&results),
-        "all" => {
-            table1();
-            for (name, f) in ALL_GRID_FIGS {
-                println!("\n===== {name} =====");
-                f(&results);
-            }
-        }
-        other => die(&format!("unknown artifact {other}\n{USAGE}")),
-    }
+    let mut out = io::stdout().lock();
+    let out: &mut dyn Write = &mut out;
+    let written = match handler {
+        Some(Handler::Standalone(f)) => f(out, seed, scale),
+        Some(Handler::Grid(f)) => f(out, &grid(seed, scale)),
+        None => all(out, &grid(seed, scale)),
+    };
+    written
+        .and_then(|()| out.flush())
+        .unwrap_or_else(|e| stdout_failed(&e));
 }
 
 const USAGE: &str = "usage: figures <table1|table2|fig1..fig17|ext-heft|ext-ls|all> \
                      [--scale quick|medium|full] [--seed N]";
 
-type GridFig = fn(&[SpecResult]);
-const ALL_GRID_FIGS: [(&str, GridFig); 16] = [
-    ("table2", table2),
-    ("fig1", fig1),
-    ("fig2", |r: &[SpecResult]| fig2(r, None)),
-    ("fig3", fig3),
-    ("fig4", |r: &[SpecResult]| fig4(r, None)),
-    ("fig5", fig5),
-    ("fig6", fig6),
-    ("fig8", |r: &[SpecResult]| fig8(r, None)),
-    ("fig10", |r: &[SpecResult]| {
-        fig2(r, Some(FigFilter::Deadline(DeadlineFactor::X20)))
-    }),
-    ("fig11", |r: &[SpecResult]| {
-        fig4(r, Some(FigFilter::Deadline(DeadlineFactor::X20)))
-    }),
-    ("fig12", fig12),
-    ("fig13", fig13),
-    ("fig14", fig14),
-    ("fig15", fig15),
-    ("fig16", fig16),
-    ("fig17", fig17),
+/// An artifact that needs no grid: it gets the seed and the scale.
+type Standalone = fn(&mut dyn Write, u64, GridScale) -> io::Result<()>;
+/// An artifact drawn from the grid's results.
+type GridFig = fn(&mut dyn Write, &[SpecResult]) -> io::Result<()>;
+
+#[derive(Clone, Copy)]
+enum Handler {
+    Standalone(Standalone),
+    Grid(GridFig),
+}
+
+/// Every artifact id and its handler; `all` prints `table1`, then each
+/// grid artifact in this order.
+const ARTIFACTS: [(&str, Handler); 21] = [
+    ("table1", Handler::Standalone(|out, _, _| table1(out))),
+    ("table2", Handler::Grid(table2)),
+    ("fig1", Handler::Grid(fig1)),
+    ("fig2", Handler::Grid(|out, r| fig2(out, r, None))),
+    ("fig3", Handler::Grid(fig3)),
+    ("fig4", Handler::Grid(|out, r| fig4(out, r, None))),
+    ("fig5", Handler::Grid(fig5)),
+    ("fig6", Handler::Grid(fig6)),
+    ("fig7", Handler::Standalone(fig7)),
+    ("fig8", Handler::Grid(|out, r| fig8(out, r, None))),
+    ("fig9", Handler::Standalone(|out, _, _| fig9(out))),
+    (
+        "fig10",
+        Handler::Grid(|out, r| fig2(out, r, Some(FigFilter::Deadline(DeadlineFactor::X20)))),
+    ),
+    (
+        "fig11",
+        Handler::Grid(|out, r| fig4(out, r, Some(FigFilter::Deadline(DeadlineFactor::X20)))),
+    ),
+    ("fig12", Handler::Grid(fig12)),
+    ("fig13", Handler::Grid(fig13)),
+    ("fig14", Handler::Grid(fig14)),
+    ("fig15", Handler::Grid(fig15)),
+    ("fig16", Handler::Grid(fig16)),
+    ("fig17", Handler::Grid(fig17)),
+    (
+        "ext-heft",
+        Handler::Standalone(|out, seed, _| ext_heft(out, seed)),
+    ),
+    (
+        "ext-ls",
+        Handler::Standalone(|out, seed, _| ext_ls(out, seed)),
+    ),
 ];
 
-fn fig3(results: &[SpecResult]) {
+/// Runs the experiment grid the grid artifacts are drawn from.
+fn grid(seed: u64, scale: GridScale) -> Vec<SpecResult> {
+    eprintln!("running grid (scale {scale:?}, seed {seed}) ...");
+    let results = run_grid(&ExperimentConfig::new(scale, seed));
+    eprintln!("{} instances done", results.len());
+    results
+}
+
+fn all(out: &mut dyn Write, results: &[SpecResult]) -> io::Result<()> {
+    table1(out)?;
+    for &(name, handler) in &ARTIFACTS {
+        if let Handler::Grid(f) = handler {
+            writeln!(out, "\n===== {name} =====")?;
+            f(out, results)?;
+        }
+    }
+    Ok(())
+}
+
+fn fig9(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "Figure 9 illustrates the E-schedule block-shift argument of \
+         Lemma 4.2; it has no data series. See cawo-exact::dp."
+    )
+}
+
+fn fig3(out: &mut dyn Write, results: &[SpecResult]) -> io::Result<()> {
     for d in [
         DeadlineFactor::X10,
         DeadlineFactor::X15,
         DeadlineFactor::X30,
     ] {
-        println!("## deadline factor {}", d.as_f64());
-        fig2(results, Some(FigFilter::Deadline(d)));
+        writeln!(out, "## deadline factor {}", d.as_f64())?;
+        fig2(out, results, Some(FigFilter::Deadline(d)))?;
     }
+    Ok(())
 }
 
-fn fig5(results: &[SpecResult]) {
+fn fig5(out: &mut dyn Write, results: &[SpecResult]) -> io::Result<()> {
     for d in [
         DeadlineFactor::X10,
         DeadlineFactor::X15,
         DeadlineFactor::X30,
     ] {
-        println!("## deadline factor {}", d.as_f64());
-        fig4(results, Some(FigFilter::Deadline(d)));
+        writeln!(out, "## deadline factor {}", d.as_f64())?;
+        fig4(out, results, Some(FigFilter::Deadline(d)))?;
     }
+    Ok(())
 }
 
-fn fig13(results: &[SpecResult]) {
+fn fig13(out: &mut dyn Write, results: &[SpecResult]) -> io::Result<()> {
     for d in DeadlineFactor::ALL {
-        println!("## deadline factor {}", d.as_f64());
-        fig8(results, Some(FigFilter::Deadline(d)));
+        writeln!(out, "## deadline factor {}", d.as_f64())?;
+        fig8(out, results, Some(FigFilter::Deadline(d)))?;
     }
+    Ok(())
 }
 
-fn fig14(results: &[SpecResult]) {
+fn fig14(out: &mut dyn Write, results: &[SpecResult]) -> io::Result<()> {
     for c in [ClusterKind::Small, ClusterKind::Large] {
-        println!("## cluster {}", c.name());
-        fig4(results, Some(FigFilter::Cluster(c)));
+        writeln!(out, "## cluster {}", c.name())?;
+        fig4(out, results, Some(FigFilter::Cluster(c)))?;
     }
+    Ok(())
 }
 
-fn fig15(results: &[SpecResult]) {
+fn fig15(out: &mut dyn Write, results: &[SpecResult]) -> io::Result<()> {
     for s in Scenario::ALL {
-        println!("## scenario {}", s.label());
-        fig4(results, Some(FigFilter::Scenario(s)));
+        writeln!(out, "## scenario {}", s.label())?;
+        fig4(out, results, Some(FigFilter::Scenario(s)))?;
     }
+    Ok(())
 }
 
-fn fig16(results: &[SpecResult]) {
+fn fig16(out: &mut dyn Write, results: &[SpecResult]) -> io::Result<()> {
     for class in ["small", "medium", "large"] {
-        println!("## workflow size class {class}");
-        fig4(results, Some(FigFilter::SizeClass(class)));
+        writeln!(out, "## workflow size class {class}")?;
+        fig4(out, results, Some(FigFilter::SizeClass(class)))?;
     }
+    Ok(())
 }
 
-fn fig17(results: &[SpecResult]) {
+fn fig17(out: &mut dyn Write, results: &[SpecResult]) -> io::Result<()> {
     for c in [ClusterKind::Small, ClusterKind::Large] {
-        println!("## cluster {}", c.name());
-        fig2(results, Some(FigFilter::Cluster(c)));
+        writeln!(out, "## cluster {}", c.name())?;
+        fig2(out, results, Some(FigFilter::Cluster(c)))?;
     }
-}
-
-#[expect(clippy::exit, reason = "a CLI's usage/error path legitimately exits")]
-fn die(msg: &str) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(2)
+    Ok(())
 }
 
 /// Instance filters for the grouped figures.
@@ -231,8 +258,8 @@ fn cost_matrix(results: &[&SpecResult], algs: &[Variant]) -> Vec<Vec<Cost>> {
 
 // ----- Table 1 -------------------------------------------------------
 
-fn table1() {
-    println!("Table 1: processor specifications in the clusters");
+fn table1(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(out, "Table 1: processor specifications in the clusters")?;
     let rows: Vec<Vec<String>> = PAPER_PROCESSOR_TYPES
         .iter()
         .map(|t| {
@@ -246,22 +273,24 @@ fn table1() {
             ]
         })
         .collect();
-    println!(
+    writeln!(
+        out,
         "{}",
         markdown_table(
             &["Processor", "Speed", "Pidle", "Pwork", "small", "large"],
             &rows
         )
-    );
+    )
 }
 
 // ----- Table 2: local-search ablation --------------------------------
 
-fn table2(results: &[SpecResult]) {
-    println!(
+fn table2(out: &mut dyn Write, results: &[SpecResult]) -> io::Result<()> {
+    writeln!(
+        out,
         "Table 2: cost ratio (with LS / without LS); atacseq* + bacass \
          instances, refined variants"
-    );
+    )?;
     use cawo_graph::generator::Family;
     let subset: Vec<&SpecResult> = results
         .iter()
@@ -296,17 +325,21 @@ fn table2(results: &[SpecResult]) {
             opt_f64(mean(&ratios)),
         ]);
     }
-    println!(
+    writeln!(
+        out,
         "{}",
         markdown_table(&["Algorithm Variant", "Min", "Max", "Avg"], &rows)
-    );
-    println!("({} instances in the subset)", subset.len());
+    )?;
+    writeln!(out, "({} instances in the subset)", subset.len())
 }
 
 // ----- Figure 1: rank distribution -----------------------------------
 
-fn fig1(results: &[SpecResult]) {
-    println!("Figure 1: rank distribution (fraction of instances per rank)");
+fn fig1(out: &mut dyn Write, results: &[SpecResult]) -> io::Result<()> {
+    writeln!(
+        out,
+        "Figure 1: rank distribution (fraction of instances per rank)"
+    )?;
     let algs = main_algorithms();
     let matrix = cost_matrix(&filtered(results, None), &algs);
     let dist = rank_distribution(&matrix);
@@ -317,30 +350,38 @@ fn fig1(results: &[SpecResult]) {
             values: (0..algs.len()).map(|a| dist[a][r]).collect(),
         })
         .collect();
-    println!("{}", series_table("variant", &xs, &series));
+    writeln!(out, "{}", series_table("variant", &xs, &series))?;
     // Headline numbers quoted in §6.2.
     let asap_last = dist[0][algs.len() - 1];
-    println!("ASAP ranked last on {:.2}% of instances", 100.0 * asap_last);
+    writeln!(
+        out,
+        "ASAP ranked last on {:.2}% of instances",
+        100.0 * asap_last
+    )?;
     let (best_alg, best_first) = (0..algs.len())
         .map(|a| (algs[a], dist[a][0]))
         .max_by(|a, b| a.1.total_cmp(&b.1))
         .expect("at least one algorithm");
-    println!(
+    writeln!(
+        out,
         "most-frequent rank-1: {} ({:.2}%)",
         best_alg,
         100.0 * best_first
-    );
+    )
 }
 
 // ----- Figure 2 (and 3/10/17): performance profiles -------------------
 
-fn fig2(results: &[SpecResult], filter: Option<FigFilter>) {
-    println!("Performance profiles: fraction of instances with best/own >= tau");
+fn fig2(out: &mut dyn Write, results: &[SpecResult], filter: Option<FigFilter>) -> io::Result<()> {
+    writeln!(
+        out,
+        "Performance profiles: fraction of instances with best/own >= tau"
+    )?;
     let algs = main_algorithms();
     let subset = filtered(results, filter);
     if subset.is_empty() {
-        println!("(no instances in this group at the current scale)");
-        return;
+        writeln!(out, "(no instances in this group at the current scale)")?;
+        return Ok(());
     }
     let matrix = cost_matrix(&subset, &algs);
     let taus = metrics::default_taus();
@@ -353,18 +394,21 @@ fn fig2(results: &[SpecResult], filter: Option<FigFilter>) {
             values: performance_profile(&matrix, a, &taus),
         })
         .collect();
-    println!("{}", series_table("tau", &xs, &series));
+    writeln!(out, "{}", series_table("tau", &xs, &series))
 }
 
 // ----- Figure 4 (and 5/11/14/15/16): cost ratio vs ASAP ---------------
 
-fn fig4(results: &[SpecResult], filter: Option<FigFilter>) {
-    println!("Median cost ratio (variant cost / ASAP cost); lower is better");
+fn fig4(out: &mut dyn Write, results: &[SpecResult], filter: Option<FigFilter>) -> io::Result<()> {
+    writeln!(
+        out,
+        "Median cost ratio (variant cost / ASAP cost); lower is better"
+    )?;
     let algs = main_algorithms();
     let subset = filtered(results, filter);
     if subset.is_empty() {
-        println!("(no instances in this group at the current scale)");
-        return;
+        writeln!(out, "(no instances in this group at the current scale)")?;
+        return Ok(());
     }
     let matrix = cost_matrix(&subset, &algs);
     let mut rows = Vec::new();
@@ -377,16 +421,17 @@ fn fig4(results: &[SpecResult], filter: Option<FigFilter>) {
             ratios.len().to_string(),
         ]);
     }
-    println!(
+    writeln!(
+        out,
         "{}",
         markdown_table(&["variant", "median", "mean", "n"], &rows)
-    );
+    )
 }
 
 // ----- Figure 6: boxplots ---------------------------------------------
 
-fn fig6(results: &[SpecResult]) {
-    println!("Figure 6: boxplot of cost ratios vs ASAP");
+fn fig6(out: &mut dyn Write, results: &[SpecResult]) -> io::Result<()> {
+    writeln!(out, "Figure 6: boxplot of cost ratios vs ASAP")?;
     let algs = main_algorithms();
     let matrix = cost_matrix(&filtered(results, None), &algs);
     let mut rows = Vec::new();
@@ -404,18 +449,19 @@ fn fig6(results: &[SpecResult]) {
             ]);
         }
     }
-    println!(
+    writeln!(
+        out,
         "{}",
         markdown_table(
             &["variant", "lo", "q1", "median", "q3", "hi", "#outliers"],
             &rows
         )
-    );
+    )
 }
 
 // ----- Figure 7: exact comparison -------------------------------------
 
-fn fig7(seed: u64, scale: GridScale) {
+fn fig7(out: &mut dyn Write, seed: u64, scale: GridScale) -> io::Result<()> {
     let cfg = ExactCmpConfig {
         instances: match scale {
             GridScale::Quick => 12,
@@ -428,12 +474,13 @@ fn fig7(seed: u64, scale: GridScale) {
     eprintln!("running exact comparison ({} instances) ...", cfg.instances);
     let results = run_exact_comparison(&cfg);
     let proved = results.iter().filter(|r| r.proved).count();
-    println!(
+    writeln!(
+        out,
         "Figure 7: optimal/heuristic cost ratio on {} small instances \
          ({} proved optimal)",
         results.len(),
         proved
-    );
+    )?;
     let algs: Vec<Variant> = cfg.variants.clone();
     let mut rows = Vec::new();
     for &v in &algs {
@@ -450,24 +497,25 @@ fn fig7(seed: u64, scale: GridScale) {
             format!("{at_one}/{}", ratios.len()),
         ]);
     }
-    println!(
+    writeln!(
+        out,
         "{}",
         markdown_table(
             &["variant", "median ratio", "mean ratio", "optimal hits"],
             &rows
         )
-    );
+    )
 }
 
 // ----- Figure 8 (and 12/13): running times -----------------------------
 
-fn fig8(results: &[SpecResult], filter: Option<FigFilter>) {
-    println!("Running time per algorithm variant (milliseconds)");
+fn fig8(out: &mut dyn Write, results: &[SpecResult], filter: Option<FigFilter>) -> io::Result<()> {
+    writeln!(out, "Running time per algorithm variant (milliseconds)")?;
     let algs = Variant::ALL;
     let subset = filtered(results, filter);
     if subset.is_empty() {
-        println!("(no instances in this group at the current scale)");
-        return;
+        writeln!(out, "(no instances in this group at the current scale)")?;
+        return Ok(());
     }
     let mut rows = Vec::new();
     for &v in &algs {
@@ -480,48 +528,55 @@ fn fig8(results: &[SpecResult], filter: Option<FigFilter>) {
             format!("{max:.3}"),
         ]);
     }
-    println!(
+    writeln!(
+        out,
         "{}",
         markdown_table(&["variant", "median ms", "mean ms", "max ms"], &rows)
-    );
+    )
 }
 
-fn fig12(results: &[SpecResult]) {
-    println!("Figure 12: running time, large workflows (20k-30k tasks) only");
+fn fig12(out: &mut dyn Write, results: &[SpecResult]) -> io::Result<()> {
+    writeln!(
+        out,
+        "Figure 12: running time, large workflows (20k-30k tasks) only"
+    )?;
     let classes: HashMap<&str, usize> = results.iter().fold(HashMap::new(), |mut m, r| {
         *m.entry(size_class(r.n_tasks)).or_default() += 1;
         m
     });
     if classes.contains_key("large") {
-        fig8(results, Some(FigFilter::SizeClass("large")));
+        fig8(out, results, Some(FigFilter::SizeClass("large")))?;
     } else {
         let biggest = if classes.contains_key("medium") {
             "medium"
         } else {
             "small"
         };
-        println!(
+        writeln!(
+            out,
             "(no 20k+ workflows at this scale — showing the `{biggest}` class; \
              rerun with --scale full for the paper-sized measurement)"
-        );
-        fig8(results, Some(FigFilter::SizeClass(biggest)));
+        )?;
+        fig8(out, results, Some(FigFilter::SizeClass(biggest)))?;
     }
+    Ok(())
 }
 
 // ----- Extensions (paper §7 future work) -------------------------------
 
 /// Two-pass carbon-aware HEFT (§7) vs plain HEFT, both refined by the
 /// strongest CaWoSched variant. Reports median carbon-cost ratios.
-fn ext_heft(seed: u64) {
+fn ext_heft(out: &mut dyn Write, seed: u64) -> io::Result<()> {
     use cawo_core::{carbon_cost, Instance};
     use cawo_graph::generator::{generate, GeneratorConfig};
     use cawo_heft::{heft_schedule, two_pass_carbon_heft, CarbonHeftConfig};
     use cawo_platform::Cluster;
 
-    println!(
+    writeln!(
+        out,
         "Extension (paper §7): two-pass carbon-aware HEFT vs plain HEFT,\n\
          both followed by the pressWR-LS second pass"
-    );
+    )?;
     let mut rows = Vec::new();
     for lambda in [0.25, 0.5, 0.75, 1.0] {
         let mut ratios = Vec::new();
@@ -576,7 +631,8 @@ fn ext_heft(seed: u64) {
             format!("{wins}/{}", ratios.len()),
         ]);
     }
-    println!(
+    writeln!(
+        out,
         "{}",
         markdown_table(
             &[
@@ -587,13 +643,16 @@ fn ext_heft(seed: u64) {
             ],
             &rows
         )
-    );
-    println!("ratios < 1 mean the carbon-aware first pass reduced the final cost");
+    )?;
+    writeln!(
+        out,
+        "ratios < 1 mean the carbon-aware first pass reduced the final cost"
+    )
 }
 
 /// First-improvement vs best-improvement local search (§5.3's discarded
 /// alternative): quality and applied-move counts.
-fn ext_ls(seed: u64) {
+fn ext_ls(out: &mut dyn Write, seed: u64) -> io::Result<()> {
     use cawo_core::{
         carbon_cost, greedy_schedule, local_search_with_policy, GreedyConfig, Instance, LsPolicy,
         Score,
@@ -602,7 +661,10 @@ fn ext_ls(seed: u64) {
     use cawo_heft::heft_schedule;
     use cawo_platform::{Cluster, ProfileConfig};
 
-    println!("Extension: first-improvement vs best-improvement local search");
+    writeln!(
+        out,
+        "Extension: first-improvement vs best-improvement local search"
+    )?;
     let mut rows = Vec::new();
     let mut ratios = Vec::new();
     // Instances where first-improvement reaches cost 0 and
@@ -650,7 +712,8 @@ fn ext_ls(seed: u64) {
             ]);
         }
     }
-    println!(
+    writeln!(
+        out,
         "{}",
         markdown_table(
             &[
@@ -662,12 +725,13 @@ fn ext_ls(seed: u64) {
             ],
             &rows
         )
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "median best/first cost ratio: {} over {} instances; {no_ratio} more without a \
          finite ratio (first-improvement reached cost 0, best-improvement did not). \
          ≈1 supports the paper's choice of the faster first-improvement policy",
         opt_f64(median(&ratios)),
         ratios.len(),
-    );
+    )
 }

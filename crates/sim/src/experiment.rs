@@ -178,14 +178,6 @@ pub struct ExperimentConfig {
     /// so per-algorithm wall-clock numbers (Fig. 8/12) are not
     /// distorted by memory-bandwidth and scheduling contention.
     pub serial_timing: bool,
-    /// Worker threads for the grid run. `0` (the default) uses the
-    /// ambient `cawo_par` pool — all cores unless `CAWO_THREADS` says
-    /// otherwise; any other value runs the grid on a dedicated pool of
-    /// exactly that many threads (`1` = fully sequential). Results are
-    /// bit-identical at every setting (see docs/CONCURRENCY.md); only
-    /// wall-clock and the contention caveat on
-    /// [`ExperimentConfig::serial_timing`] change.
-    pub threads: usize,
     /// Warm-path solve cache shared across all solver rows of the grid
     /// (`None` = every row solves cold, the default). With a cache,
     /// repeated (workflow, query) pairs across the 16 profiles of one
@@ -210,7 +202,6 @@ impl ExperimentConfig {
             engine: EngineKind::default(),
             trace: None,
             serial_timing: false,
-            threads: 0,
             cache: None,
         }
     }
@@ -413,30 +404,6 @@ fn profile_seed(master: u64, spec: &InstanceSpec) -> u64 {
     h
 }
 
-/// Runs the grid in parallel. Workflow → mapping → enhanced-instance
-/// construction is shared across the 16 profiles of each
-/// (workflow, cluster) pair. Instances whose profile fails to build
-/// (e.g. an unloadable trace CSV) are skipped with a stderr warning —
-/// see [`run_one`] to handle the error per instance instead.
-///
-/// [`ExperimentConfig::threads`] selects the pool: `0` runs on the
-/// ambient pool, `n > 0` on a dedicated `n`-thread pool for the whole
-/// grid (including the nested per-variant parallelism of [`run_one`]).
-pub fn run_grid(cfg: &ExperimentConfig) -> Vec<SpecResult> {
-    match cfg.threads {
-        0 => run_grid_inner(cfg),
-        #[expect(
-            clippy::expect_used,
-            reason = "cawo_par's builder only errors on OS thread-spawn failure, which is fatal anyway."
-        )]
-        n => rayon::ThreadPoolBuilder::new()
-            .num_threads(n)
-            .build()
-            .expect("pool construction cannot fail")
-            .install(|| run_grid_inner(cfg)),
-    }
-}
-
 /// Parses the configured trace source once up front, so
 /// [`build_profile`] resamples pre-parsed points per row instead of
 /// re-reading and re-parsing the CSV for every one of the grid's trace
@@ -454,7 +421,16 @@ fn preload_trace(cfg: &ExperimentConfig) -> ExperimentConfig {
     cfg
 }
 
-fn run_grid_inner(cfg: &ExperimentConfig) -> Vec<SpecResult> {
+/// Runs the grid in parallel. Workflow → mapping → enhanced-instance
+/// construction is shared across the 16 profiles of each
+/// (workflow, cluster) pair. Instances whose profile fails to build
+/// (e.g. an unloadable trace CSV) are skipped with a stderr warning —
+/// see [`run_one`] to handle the error per instance instead.
+///
+/// The grid runs on the current `cawo_par` pool; wrap the call in
+/// `ThreadPool::install` to pick its size. Results are bit-identical at
+/// any size (docs/CONCURRENCY.md).
+pub fn run_grid(cfg: &ExperimentConfig) -> Vec<SpecResult> {
     let cfg = &preload_trace(cfg);
     let specs = cfg.grid();
     // Prepare unique (workflow, cluster) instances in parallel.

@@ -12,7 +12,10 @@
 //! * [`exactcmp`] — the small-instance optimality comparison of Fig. 7,
 //! * [`des`] — a discrete-event execution simulator serving as an
 //!   independent oracle for the analytic cost engine,
-//! * [`report`] — plain-text/markdown series and table emitters.
+//! * [`report`] — plain-text/markdown series and table emitters,
+//! * [`cli`] — the plumbing the `cawosched`, `experiments` and `figures`
+//!   binaries share: error and closed-stdout exits, observability
+//!   flags, the `--threads` pool.
 //!
 //! The `figures` binary maps every paper artifact id (`table1`, `fig1`,
 //! …, `fig17`) to the code that regenerates its rows/series.
@@ -20,6 +23,7 @@
 // Solver errors are values, never aborts (docs/LINTS.md).
 #![warn(clippy::expect_used, clippy::panic, clippy::unreachable)]
 
+pub mod cli;
 pub mod des;
 pub mod exactcmp;
 pub mod experiment;

@@ -11,28 +11,40 @@ use cawo_core::{Instance, Variant};
 use cawo_exact::{Budget, SolverKind};
 use cawo_graph::dag::DagBuilder;
 use cawo_platform::{Cluster, DeadlineFactor, ProfileConfig, Scenario, TraceConfig, TraceSource};
-use cawo_sim::experiment::{run_grid, ExperimentConfig, GridScale, TraceScenario};
+use cawo_sim::experiment::{run_grid, ExperimentConfig, GridScale, SpecResult, TraceScenario};
 
 /// A short inline carbon-intensity trace (time, gCO₂/kWh).
 const TRACE_CSV: &str = "time,intensity\n0,420\n600,95\n1200,250\n1800,340\n";
 
 /// Quick grid, two cheap variants, S1–S4 plus the trace column.
-fn grid_config(threads: usize) -> ExperimentConfig {
+fn grid_config() -> ExperimentConfig {
     ExperimentConfig {
         variants: vec![Variant::Asap, Variant::PressWRLs],
         trace: Some(TraceScenario {
             name: "inline".to_string(),
             source: TraceSource::Csv(TRACE_CSV.to_string()),
         }),
-        threads,
         ..ExperimentConfig::new(GridScale::Quick, 20_260_808)
     }
 }
 
+/// A dedicated pool of `threads` workers (1 = strictly sequential).
+fn pool_of(threads: usize) -> rayon::ThreadPool {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("the pool builds")
+}
+
+/// The grid of [`grid_config`] on a dedicated `threads`-worker pool.
+fn run_grid_on(threads: usize) -> Vec<SpecResult> {
+    pool_of(threads).install(|| run_grid(&grid_config()))
+}
+
 #[test]
 fn grid_results_are_bit_identical_at_1_and_4_threads() {
-    let one = run_grid(&grid_config(1));
-    let four = run_grid(&grid_config(4));
+    let one = run_grid_on(1);
+    let four = run_grid_on(4);
     assert!(!one.is_empty());
     assert_eq!(one.len(), four.len());
     for (a, b) in one.iter().zip(&four) {
@@ -55,9 +67,9 @@ fn grid_results_are_bit_identical_with_tracing_on_and_off() {
     for threads in [1usize, 4] {
         cawo_obs::set_level(cawo_obs::Level::Off);
         let _ = cawo_obs::drain();
-        let off = run_grid(&grid_config(threads));
+        let off = run_grid_on(threads);
         cawo_obs::set_level(cawo_obs::Level::Trace);
-        let on = run_grid(&grid_config(threads));
+        let on = run_grid_on(threads);
         cawo_obs::set_level(cawo_obs::Level::Off);
         let snap = cawo_obs::drain();
         assert!(
@@ -84,12 +96,6 @@ fn exhausted_bnb_optima_are_bit_identical_at_1_and_4_threads() {
     // Instances small enough for the search to exhaust, so the
     // parallel solver must reproduce the sequential optimum exactly —
     // cost *and* schedule — under every scenario shape.
-    let pool_of = |threads: usize| {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap()
-    };
     let (one, four) = (pool_of(1), pool_of(4));
     // A single-unit chain: the boundary candidate set applies, so the
     // search exhausts in milliseconds even with deadline slack.

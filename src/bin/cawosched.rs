@@ -26,6 +26,7 @@ use cawosched::exact::WarmStart;
 use cawosched::graph::dot;
 use cawosched::graph::wfjson::{from_wfcommons_json, WfJsonOptions};
 use cawosched::prelude::*;
+use cawosched::sim::cli::{die, stdout_failed, with_threads, ObsArgs};
 use cawosched::sim::report::render_gantt;
 
 fn main() {
@@ -34,63 +35,15 @@ fn main() {
         die(&usage());
     };
     let opts = Options::parse(&args[1..]).unwrap_or_else(|e| die(&format!("{e}\n{}", usage())));
-    init_obs(&opts);
+    opts.obs.init();
     let written = match cmd.as_str() {
         "generate" => generate_cmd(&opts),
-        "schedule" => with_pool(&opts, || schedule_cmd(&opts)),
-        "evaluate" => with_pool(&opts, || evaluate_cmd(&opts)),
+        "schedule" => with_threads(opts.threads, || schedule_cmd(&opts)),
+        "evaluate" => with_threads(opts.threads, || evaluate_cmd(&opts)),
         other => die(&format!("unknown command `{other}`\n{}", usage())),
     };
     written.unwrap_or_else(|e| stdout_failed(&e));
-    report_obs(&opts);
-}
-
-/// Applies `--log-level` / `CAWO_LOG`, then raises the level where an
-/// output was requested without one: `--profile` needs Summary-level
-/// counters and span histograms, `--obs-out` the Trace event timeline.
-fn init_obs(o: &Options) {
-    let lvl = cawo_obs::init(o.log_level.as_deref()).unwrap_or_else(|e| die(&e));
-    if o.log_level.is_none() && std::env::var_os("CAWO_LOG").is_none() {
-        if o.obs_out.is_some() {
-            cawo_obs::set_level(cawo_obs::Level::Trace);
-        } else if o.profile && lvl < cawo_obs::Level::Summary {
-            cawo_obs::set_level(cawo_obs::Level::Summary);
-        }
-    }
-}
-
-/// Drains the observability sinks after the command finished (the pool
-/// is quiescent here) and emits whatever was asked for.
-fn report_obs(o: &Options) {
-    if !o.profile && o.obs_out.is_none() {
-        return;
-    }
-    let snap = cawo_obs::drain();
-    if let Some(path) = &o.obs_out {
-        let mut buf = Vec::new();
-        cawo_obs::write_jsonl(&snap, &mut buf)
-            .unwrap_or_else(|e| die(&format!("trace serialisation failed: {e}")));
-        std::fs::write(path, &buf).unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        eprintln!("observability trace written to {path}");
-    }
-    if o.profile {
-        eprint!("{}", cawo_obs::summary_table(&snap));
-    }
-}
-
-/// Runs `f` on a dedicated pool of `--threads` workers, or directly on
-/// the ambient pool when no override was given. Schedules and costs
-/// are bit-identical either way (docs/CONCURRENCY.md); the flag only
-/// trades wall-clock against CPU use.
-fn with_pool<R: Send>(o: &Options, f: impl FnOnce() -> R + Send) -> R {
-    match o.threads {
-        0 => f(),
-        n => rayon::ThreadPoolBuilder::new()
-            .num_threads(n)
-            .build()
-            .expect("pool construction cannot fail")
-            .install(f),
-    }
+    opts.obs.finish();
 }
 
 /// The usage text; the solver list is read from the registry so it
@@ -122,36 +75,16 @@ fn usage() -> String {
   --solver-budget caps it with a node count, `250ms`/`2s` wall-clock,
   or both (`500000,250ms`). --threads runs solvers and heuristics on a
   dedicated pool of N workers (1 = sequential, 0 = all cores — the
-  default); results are identical at any thread count. --repeat N runs
-  the schedule query N times; with --cache, repeats after the first are
-  served from the warm-path solve cache and each iteration reports its
-  wall-clock and cache outcome. --profile prints a solve-profile
-  summary (counters + span timings) to stderr after the command;
-  --obs-out writes the JSONL event trace (see docs/OBSERVABILITY.md;
-  obs_check validates it and converts it to a Chrome trace);
-  --log-level (or the CAWO_LOG env var) sets the recording level
-  explicitly."
+  default, at most 256); results are identical at any thread count.
+  --repeat N runs the schedule query N times; with --cache, repeats
+  after the first are served from the warm-path solve cache and each
+  iteration reports its wall-clock and cache outcome. --profile prints a
+  solve-profile summary (counters + span timings) to stderr after the
+  command; --obs-out writes the JSONL event trace (see
+  docs/OBSERVABILITY.md; obs_check validates it and converts it to a
+  Chrome trace); --log-level (or the CAWO_LOG env var) sets the
+  recording level explicitly."
     )
-}
-
-#[expect(clippy::exit, reason = "a CLI's usage/error path legitimately exits")]
-fn die(msg: &str) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(2)
-}
-
-/// Ends the program after a failed write to stdout: quietly with exit 0
-/// when the reader has gone (`cawosched generate | head -1`), through
-/// [`die`] on any other error.
-#[expect(
-    clippy::exit,
-    reason = "a closed stdout ends the output the reader asked for"
-)]
-fn stdout_failed(e: &io::Error) -> ! {
-    if e.kind() == io::ErrorKind::BrokenPipe {
-        std::process::exit(0)
-    }
-    die(&format!("cannot write to stdout: {e}"))
 }
 
 struct Options {
@@ -173,9 +106,7 @@ struct Options {
     threads: usize,
     cache: bool,
     repeat: usize,
-    log_level: Option<String>,
-    profile: bool,
-    obs_out: Option<String>,
+    obs: ObsArgs,
 }
 
 impl Options {
@@ -199,9 +130,7 @@ impl Options {
             threads: 0,
             cache: false,
             repeat: 1,
-            log_level: None,
-            profile: false,
-            obs_out: None,
+            obs: ObsArgs::default(),
         };
         let mut i = 0;
         let next = |i: &mut usize| -> Result<String, String> {
@@ -272,9 +201,9 @@ impl Options {
                     }
                 }
                 "--threads" => o.threads = next(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-                "--log-level" => o.log_level = Some(next(&mut i)?),
-                "--profile" => o.profile = true,
-                "--obs-out" => o.obs_out = Some(next(&mut i)?),
+                "--log-level" => o.obs.log_level = Some(next(&mut i)?),
+                "--profile" => o.obs.profile = true,
+                "--obs-out" => o.obs.obs_out = Some(next(&mut i)?),
                 a => return Err(format!("unknown argument {a}")),
             }
             i += 1;

@@ -441,6 +441,20 @@ fn bad_arguments_fail_cleanly() {
 }
 
 #[test]
+fn thread_counts_above_the_ceiling_exit_2() {
+    // The pool refuses the count before it starts a thread, so this
+    // spawns none.
+    let out = bin()
+        .args(["schedule", "--tasks", "8", "--threads", "257"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("ceiling of 256"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn schedule_reads_wfcommons_json() {
     let dir = std::env::temp_dir().join("cawosched-cli-test");
     std::fs::create_dir_all(&dir).unwrap();

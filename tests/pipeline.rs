@@ -365,29 +365,6 @@ fn uncapped_refinement_never_worse_at_greedy_stage() {
 }
 
 #[test]
-fn energy_report_consistent_for_all_variants() {
-    use cawosched::core::energy_report;
-    let (inst, profile, _) = setup(
-        Family::Methylseq,
-        80,
-        Scenario::Sinusoidal,
-        DeadlineFactor::X15,
-        17,
-    );
-    for v in [Variant::Asap, Variant::SlackLs, Variant::PressWR] {
-        let sched = v.run(&inst, &profile);
-        let rep = energy_report(&inst, &sched, &profile);
-        assert_eq!(rep.brown, carbon_cost(&inst, &sched, &profile), "{v}");
-        assert_eq!(rep.total_demand(), rep.idle_energy + rep.work_energy, "{v}");
-        assert_eq!(
-            (rep.green + rep.wasted_green) as u128,
-            profile.total_green_energy(),
-            "{v}"
-        );
-    }
-}
-
-#[test]
 fn carbon_heft_two_pass_end_to_end() {
     use cawosched::heft::{two_pass_carbon_heft, CarbonHeftConfig};
     let wf = generate(&GeneratorConfig::new(Family::Atacseq, 100, 18));
